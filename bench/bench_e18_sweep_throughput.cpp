@@ -2,18 +2,14 @@
 //
 // A parameter sweep (Pareto curve, deadline grid) hands the engine
 // thousands of instances sharing one topology and power model; only the
-// task weights and the deadline vary. This bench measures what PR 7's
-// fast path buys on that workload:
+// task weights and the deadline vary. This bench measures what the
+// batched fast path buys on that workload:
 //
 //   (a) closed-form grid sweeps (single / chain / fork), kernels ON vs
 //       OFF — the structure-of-arrays kernels vs per-instance dispatch.
 //       Acceptance: >= 5x inst/s with kernels on, and bit-identical
 //       results (asserted in-process here, fuzzed in
 //       tests/test_batch_kernels.cpp).
-//   (b) a numeric-barrier deadline grid (general DAG), warm starts ON vs
-//       OFF — each solve seeded from the previous grid point's speeds.
-//       Results agree within the feasibility tolerance (asserted).
-#include <cmath>
 #include <iostream>
 #include <limits>
 #include <vector>
@@ -44,25 +40,6 @@ std::vector<core::Instance> grid(const std::string& family, std::size_t count,
   return out;
 }
 
-/// Deadline grid over one general DAG: every solve takes the numeric
-/// barrier, which is what warm starts accelerate.
-std::vector<core::Instance> barrier_grid(std::size_t count,
-                                         std::uint64_t seed) {
-  util::Rng rng(seed);
-  const graph::Digraph g = graph::make_stencil(4, 4, rng);
-  const double d_min = core::min_deadline(g, 2.0);
-  std::vector<core::Instance> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const double slack = 1.2 + 1.6 * static_cast<double>(i) /
-                                   static_cast<double>(count);
-    graph::Digraph copy = g;
-    out.push_back(core::make_instance(std::move(copy), slack * d_min,
-                                      model::StaticPowerLaw(3.0, 0.3)));
-  }
-  return out;
-}
-
 struct Timing {
   double seconds = 0.0;
   std::vector<core::Solution> solutions;
@@ -80,12 +57,11 @@ struct Timing {
 Timing timed_batch(const std::vector<std::vector<core::Instance>>& grids,
                    const model::EnergyModel& model,
                    const core::SolveOptions& solve_options, bool memoize,
-                   bool use_kernels, bool warm_start, std::size_t threads) {
+                   bool use_kernels, std::size_t threads) {
   engine::EngineOptions options;
   options.threads = threads;
   options.memoize = memoize;
   options.use_kernels = use_kernels;
-  options.warm_start = warm_start;
   engine::ReclaimEngine eng(options);
   // Warm-up on grid 0 (untimed): shape cache, arenas, pool — and for the
   // memoizing engine, a realistically populated memo to probe against.
@@ -120,31 +96,12 @@ void require_identical(const std::vector<core::Solution>& a,
   }
 }
 
-void require_within_tol(const std::vector<core::Solution>& a,
-                        const std::vector<core::Solution>& b,
-                        const char* what) {
-  if (a.size() != b.size()) throw NumericalError(std::string(what) + ": size");
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].feasible != b[i].feasible) {
-      throw NumericalError(std::string(what) + ": feasibility diverged");
-    }
-    const double tol =
-        core::kFeasibilityRelTol * std::max(1.0, std::abs(b[i].energy));
-    if (std::abs(a[i].energy - b[i].energy) > tol) {
-      throw NumericalError(std::string(what) + ": energy diverged at " +
-                           std::to_string(i));
-    }
-  }
-}
-
 }  // namespace
 
 int main() {
-  bench::banner("E18 sweep throughput (batched kernels + warm starts)",
+  bench::banner("E18 sweep throughput (batched kernels)",
                 "homogeneous grid sweeps through the engine: SoA kernels vs "
-                "scalar dispatch (acceptance: >= 5x inst/s, bit-identical), "
-                "and warm-started barrier grids vs cold solves (within the "
-                "feasibility tolerance)");
+                "scalar dispatch (acceptance: >= 5x inst/s, bit-identical)");
 
   const model::EnergyModel continuous = model::ContinuousModel{2.0};
   const std::size_t kGrid = 20000;
@@ -172,13 +129,13 @@ int main() {
       const double n = static_cast<double>(kGrid);
       const Timing scalar =
           timed_batch(grids, continuous, {}, /*memoize=*/true,
-                      /*use_kernels=*/false, /*warm_start=*/false, 1);
+                      /*use_kernels=*/false, 1);
       const Timing no_memo =
           timed_batch(grids, continuous, {}, /*memoize=*/false,
-                      /*use_kernels=*/false, /*warm_start=*/false, 1);
+                      /*use_kernels=*/false, 1);
       const Timing kernel =
           timed_batch(grids, continuous, {}, /*memoize=*/true,
-                      /*use_kernels=*/true, /*warm_start=*/false, 1);
+                      /*use_kernels=*/true, 1);
       require_identical(kernel.solutions, scalar.solutions, family);
       require_identical(kernel.solutions, no_memo.solutions, family);
       const double scalar_rate = n / scalar.seconds;
@@ -195,37 +152,6 @@ int main() {
     table.print(std::cout);
     std::cout << "kernel results verified bit-identical to the scalar path"
               << std::endl;
-  }
-
-  {
-    std::vector<std::vector<core::Instance>> grids;
-    for (std::uint64_t r = 0; r < 3; ++r) {
-      grids.push_back(barrier_grid(128, 1845 + 17 * r));
-    }
-    core::SolveOptions exact;
-    exact.leakage = core::LeakageMode::kExact;
-    const Timing cold =
-        timed_batch(grids, continuous, exact, /*memoize=*/false,
-                    /*use_kernels=*/true, /*warm_start=*/false, 0);
-    const Timing warm =
-        timed_batch(grids, continuous, exact, /*memoize=*/false,
-                    /*use_kernels=*/true, /*warm_start=*/true, 0);
-    require_within_tol(warm.solutions, cold.solutions, "warm-start grid");
-    const double n = static_cast<double>(grids[1].size());
-    const double cold_rate = n / cold.seconds;
-    const double warm_rate = n / warm.seconds;
-    util::Table table("(b) numeric-barrier deadline grid: warm starts",
-                      {"instances", "cold s", "warm s", "cold inst/s",
-                       "warm inst/s", "speedup"});
-    table.add_row({util::Table::fmt(grids[1].size()),
-                   util::Table::fmt(cold.seconds, 4),
-                   util::Table::fmt(warm.seconds, 4),
-                   util::Table::fmt(cold_rate, 1),
-                   util::Table::fmt(warm_rate, 1),
-                   util::Table::fmt_ratio(warm_rate / cold_rate, 2)});
-    table.print(std::cout);
-    std::cout << "warm-started energies verified within the feasibility "
-                 "tolerance of cold solves\n";
   }
 
   if (!speedup_met) {

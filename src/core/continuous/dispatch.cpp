@@ -17,28 +17,12 @@ namespace reclaim::core {
 
 namespace {
 
-/// Copies the caller's shared warm-start speeds into `numeric_options`
-/// (using a recycled buffer, so steady-state sweeps allocate nothing)
-/// when the size matches the instance; no-op otherwise.
-void attach_warm_start(const Instance& instance,
-                       const ContinuousOptions& options,
-                       NumericOptions& numeric_options) {
-  if (!options.warm_start ||
-      options.warm_start->size() != instance.exec_graph.num_nodes()) {
-    return;
-  }
-  numeric_options.warm_start = util::Arena::scratch().lease_doubles();
-  numeric_options.warm_start.assign(options.warm_start->begin(),
-                                    options.warm_start->end());
-}
-
-/// Returns per-solve vector buffers leased through attach_warm_start and
-/// the effective-bounds helpers to the thread's pool.
+/// Returns the per-solve bound buffers leased by the effective-bounds
+/// helpers to the thread's pool.
 void recycle_numeric_buffers(NumericOptions& numeric_options) {
   auto& arena = util::Arena::scratch();
   arena.recycle_doubles(std::move(numeric_options.s_max_per_task));
   arena.recycle_doubles(std::move(numeric_options.s_min_per_task));
-  arena.recycle_doubles(std::move(numeric_options.warm_start));
 }
 
 /// True when every positive-weight task runs at least at `floor`.
@@ -56,7 +40,6 @@ Solution numeric(const Instance& instance, const model::ContinuousModel& model,
   NumericOptions numeric_options;
   numeric_options.rel_gap = options.rel_gap;
   numeric_options.s_min = s_min;
-  attach_warm_start(instance, options, numeric_options);
   Solution s = solve_numeric(instance, model, numeric_options);
   recycle_numeric_buffers(numeric_options);
   return s;
@@ -142,7 +125,6 @@ Solution solve_hetero(const Instance& instance,
   numeric_options.rel_gap = options.rel_gap;
   numeric_options.s_max_per_task = std::move(caps);
   numeric_options.s_min_per_task = std::move(floors);
-  attach_warm_start(instance, options, numeric_options);
   Solution s = solve_numeric(instance, model, numeric_options);
   recycle_numeric_buffers(numeric_options);
   return s;
@@ -258,7 +240,6 @@ Solution solve_exact_leaky(const Instance& instance,
     numeric_options.exact_leakage = true;
     numeric_options.s_max_per_task = std::move(caps);
     numeric_options.s_min_per_task = std::move(floors);
-    attach_warm_start(instance, options, numeric_options);
     exact = solve_numeric(instance, model, numeric_options);
     recycle_numeric_buffers(numeric_options);
   }

@@ -57,15 +57,6 @@ struct ContinuousOptions {
   /// Pre-computed SP decomposition to go with a kSeriesParallel hint, so
   /// repeated SP topologies skip the decomposition too.
   std::shared_ptr<const graph::SpTree> sp_hint;
-  /// Optional warm-start speeds for the numeric solver (one per task),
-  /// shared so a sweep can seed thousands of neighbor solves from one
-  /// prior solution without copying it per instance. Only consulted when
-  /// the route reaches the barrier solver and the size matches the graph;
-  /// acceptance is guarded inside solve_numeric (feasible start point,
-  /// objective no worse than the cold start), so a rejected warm start
-  /// falls back to the bit-identical cold solve and results stay
-  /// deterministic (NumericOptions::warm_start).
-  std::shared_ptr<const std::vector<double>> warm_start;
 };
 
 /// Solves the Continuous MinEnergy instance.

@@ -252,84 +252,18 @@ Solution solve_numeric(const Instance& instance,
   // Variables: x[0..n) completion times, x[n..2n) durations.
   const auto order = graph::topological_order(g);
   util::require(order.has_value(), "numeric solver requires a DAG");
-  // Topological start-point assembly shared by the cold and warm starts:
-  // stack completion times with a per-position pad so every precedence
-  // residual is strictly positive.
-  const auto assemble_start = [&](std::span<const double> durs, double pad_amt,
-                                  std::span<double> earliest, la::Vector& x) {
+  // Stack completion times in topological order with a per-position pad so
+  // every precedence residual is strictly positive.
+  {
+    const std::span<double> earliest = arena.alloc<double>(n);
     std::size_t position = 0;
     for (graph::NodeId v : *order) {
       double start = 0.0;
       for (graph::NodeId p : g.predecessors(v)) start = std::max(start, earliest[p]);
-      earliest[v] = start + durs[v];
-      x[v] = earliest[v] + pad_amt * static_cast<double>(position + 1);
-      x[n + v] = durs[v];
+      earliest[v] = start + durations[v];
+      x0[v] = earliest[v] + pad * static_cast<double>(position + 1);
+      x0[n + v] = durations[v];
       ++position;
-    }
-  };
-  {
-    const std::span<double> earliest = arena.alloc<double>(n);
-    assemble_start(durations, pad, earliest, x0);
-  }
-
-  // Optional warm start: derive a second candidate start point from the
-  // caller's speeds (a neighbor solution during sweeps). Every duration is
-  // nudged strictly inside its constraint band — a deadline-tight donor
-  // still yields a strictly feasible point — and the candidate is dropped
-  // (falling back to the bit-identical cold path) whenever any residual
-  // fails to be strictly positive.
-  la::Vector x0_warm;
-  bool warm_ready = false;
-  if (options.warm_start.size() == n) {
-    const std::span<double> warm_durations = arena.alloc<double>(n);
-    warm_ready = true;
-    constexpr double kWarmBoost = 0.01;
-    for (graph::NodeId v = 0; v < n; ++v) {
-      const double w = g.weight(v);
-      if (w == 0.0) continue;  // padded below, like the cold start
-      const double ws = options.warm_start[v];
-      if (!std::isfinite(ws) || ws <= 0.0) {
-        warm_ready = false;
-        break;
-      }
-      double d = w / (ws * (1.0 + kWarmBoost));
-      const double lo = min_durations[v];
-      double hi = kInf;
-      if (s_min > 0.0) hi = std::min(hi, w / s_min);
-      if (floor_active(v)) hi = std::min(hi, w / floor_of(v));
-      if (hi < kInf) {
-        const double band = hi - lo;
-        if (band <= 0.0) {
-          warm_ready = false;
-          break;
-        }
-        d = std::clamp(d, lo + 0.02 * band, hi - 0.02 * band);
-      } else if (d <= lo) {
-        d = lo * (1.0 + 1e-6);  // donor speed at/above the cap: back off
-      }
-      warm_durations[v] = d;
-    }
-    if (warm_ready) {
-      const std::span<double> warm_earliest = arena.alloc<double>(n);
-      double warm_makespan = 0.0;
-      for (graph::NodeId v : *order) {
-        double start = 0.0;
-        for (graph::NodeId p : g.predecessors(v))
-          start = std::max(start, warm_earliest[p]);
-        warm_earliest[v] = start + warm_durations[v];
-        warm_makespan = std::max(warm_makespan, warm_earliest[v]);
-      }
-      const double slack = deadline - warm_makespan;
-      if (slack > deadline * 1e-12) {
-        const double warm_pad = slack / (8.0 * static_cast<double>(n + 1));
-        for (graph::NodeId v = 0; v < n; ++v) {
-          if (g.weight(v) == 0.0) warm_durations[v] = warm_pad * 0.5;
-        }
-        x0_warm.assign(2 * n, 0.0);
-        assemble_start(warm_durations, warm_pad, warm_earliest, x0_warm);
-      } else {
-        warm_ready = false;
-      }
     }
   }
 
@@ -369,44 +303,11 @@ Solution solve_numeric(const Instance& instance,
   }
   if (ineqs.size() > used) ineqs.resize(used);
 
-  if (warm_ready) {
-    for (const auto& q : ineqs) {
-      if (q.residual(x0_warm) <= 0.0) {
-        warm_ready = false;
-        break;
-      }
-    }
-  }
-
   const EnergyObjective objective(instance, options.exact_leakage, arena);
   opt::BarrierOptions barrier_options;
   barrier_options.rel_gap = options.rel_gap;
-
-  opt::BarrierResult result;
-  bool have_result = false;
-  if (warm_ready) {
-    // A near-optimal start makes the early (small-t) barrier stages pure
-    // overhead — they drag the iterate toward the analytic center and
-    // back. Start the continuation at a high barrier weight instead; the
-    // stop criterion (m/t <= rel_gap) is unchanged, so the result meets
-    // the same gap target, and the guard below still protects quality.
-    opt::BarrierOptions warm_barrier = barrier_options;
-    warm_barrier.t0 = 1e4;
-    // Acceptance guard: the warm result must be at least as good as the
-    // cold start point it replaced; otherwise the cold solve runs and the
-    // outcome is bit-identical to a run without warm_start.
-    const double cold_reference = objective.value(x0);
-    opt::BarrierResult warm = opt::minimize_with_barrier(
-        objective, ineqs, std::move(x0_warm), warm_barrier);
-    if (warm.objective <= cold_reference) {
-      result = std::move(warm);
-      have_result = true;
-    }
-  }
-  if (!have_result) {
-    result = opt::minimize_with_barrier(objective, ineqs, std::move(x0),
-                                        barrier_options);
-  }
+  const opt::BarrierResult result = opt::minimize_with_barrier(
+      objective, ineqs, std::move(x0), barrier_options);
 
   Solution s;
   s.method = method;

@@ -52,19 +52,6 @@ struct NumericOptions {
   /// every P_stat zero the added terms are exactly 0.0 — the pure-dynamic
   /// path stays bit-identical.
   bool exact_leakage = false;
-
-  /// Optional warm-start speeds (one per task; empty = cold start), e.g. a
-  /// neighbor solution from a parameter sweep. The solver derives a start
-  /// point from them — durations nudged strictly inside every constraint
-  /// band so a deadline-tight donor still yields a strictly feasible
-  /// point — and runs the barrier from there. Acceptance is guarded: a
-  /// warm result is kept only when its objective is no worse than the
-  /// cold start point's; otherwise (or when no strictly feasible warm
-  /// point can be built) the solver falls back to the cold path and the
-  /// result is bit-identical to a run without warm_start. Results are
-  /// therefore deterministic given (instance, options) and never worse
-  /// than cold beyond the duality-gap target.
-  std::vector<double> warm_start;
 };
 
 /// Solves any acyclic instance; detects infeasibility exactly (deadline

@@ -99,20 +99,15 @@ void put_model(std::string& out, const model::EnergyModel& energy_model) {
 }  // namespace
 
 // EngineOptions never enters the key: every field is fixed for the
-// engine's lifetime, so one memo never sees two settings of any of them —
-// and the fields that could change answers (warm_start) or routing
-// (chain_dp, use_kernels, kernel_min_run) either bypass the memo entirely
-// or are bit-identical by contract.
+// engine's lifetime, so one memo never sees two settings of any of them.
+// That alone is why chain_dp, which does change answers, may stay out.
 // key-exempt(threads): scheduling only; solutions are thread-count invariant
 // key-exempt(memoize): controls the cache itself, not what is cached
 // key-exempt(memo_capacity): cache sizing, never the cached value
 // key-exempt(memo_bytes): cache sizing, never the cached value
-// key-exempt(reuse_shapes): classification cache; same answer either way
-// key-exempt(chain_dp): route choice between bit-identical exact solvers
+// key-exempt(chain_dp): changes answers (the chain DP and CONT-ROUND differ),
+//   but one engine has one fixed setting for its whole memo lifetime
 // key-exempt(use_kernels): kernel-path solves bypass the memo entirely
-// key-exempt(kernel_min_run): kernel routing threshold; kernels skip the memo
-// key-exempt(warm_start): warm solutions are never memo sources of another
-//   engine; one engine has one fixed setting for its whole memo lifetime
 
 std::string topology_key(const graph::Digraph& g) {
   std::string key;

@@ -36,8 +36,6 @@ std::size_t chunk_size(std::size_t n, std::size_t workers) {
 ReclaimEngine::ReclaimEngine(EngineOptions options)
     : options_(options),
       memo_(CacheLimits{options.memo_capacity, options.memo_bytes}) {
-  util::require(options_.kernel_min_run >= 2,
-                "ReclaimEngine: kernel_min_run must be >= 2");
   if (options_.threads != 1) {
     pool_ = std::make_unique<util::ThreadPool>(options_.threads);
   }
@@ -50,9 +48,6 @@ std::size_t ReclaimEngine::threads() const noexcept {
 }
 
 ReclaimEngine::ShapeEntry ReclaimEngine::shape_of(const graph::Digraph& g) {
-  if (!options_.reuse_shapes) {
-    return {graph::classify(g), nullptr, nullptr, nullptr};
-  }
   const std::string key = topology_key(g);
   {
     const util::ReadLock lock(shape_mutex_);
@@ -62,7 +57,7 @@ ReclaimEngine::ShapeEntry ReclaimEngine::shape_of(const graph::Digraph& g) {
       return it->second;
     }
   }
-  ShapeEntry entry{graph::classify(g), nullptr, nullptr, nullptr};
+  ShapeEntry entry{graph::classify(g), nullptr, nullptr};
   if (entry.shape == graph::GraphShape::kSeriesParallel) {
     // Decompose once at cache-fill time; every later solve of this
     // topology reuses the tree via ContinuousOptions::sp_hint, and the
@@ -78,14 +73,9 @@ ReclaimEngine::ShapeEntry ReclaimEngine::shape_of(const graph::Digraph& g) {
     entry.comp =
         core::build_tree_plan(g, entry.shape == graph::GraphShape::kInTree);
   }
-  if (options_.warm_start) {
-    // One warm-start slot per cached topology; solves of this shape seed
-    // (and are seeded by) each other through it.
-    entry.warm = std::make_shared<WarmSlot>();
-  }
   const util::WriteLock lock(shape_mutex_);
-  // Two workers may race to fill the same key; keep the first entry so
-  // every solve of this topology shares one warm slot.
+  // Two workers may race to fill the same key; both classified the same
+  // topology, so keeping the first entry is harmless.
   return shapes_.emplace(key, std::move(entry)).first->second;
 }
 
@@ -133,32 +123,7 @@ core::Solution ReclaimEngine::dispatch(const core::Instance& instance,
           continuous_options.leakage = options.leakage;
           continuous_options.shape_hint = shape;
           continuous_options.sp_hint = entry.sp_tree;
-          if (options_.warm_start && entry.warm) {
-            // Seed from the last numeric solution of this topology. The
-            // solver's acceptance guard rejects stale or infeasible seeds
-            // (falling back to the bit-identical cold solve), so sharing
-            // one slot across a sweep is always safe.
-            {
-              WarmSlot& warm = *entry.warm;
-              const util::MutexLock lock(warm.mutex);
-              continuous_options.warm_start = warm.speeds;
-            }
-            if (continuous_options.warm_start) {
-              warm_solves_.fetch_add(1, std::memory_order_relaxed);
-            }
-          }
-          core::Solution s = core::solve_continuous(instance, m, continuous_options);
-          if (options_.warm_start && entry.warm && s.feasible &&
-              !s.speeds.empty() &&
-              (s.method == "numeric-barrier" ||
-               s.method == "numeric-exact-leaky")) {
-            auto snapshot =
-                std::make_shared<const std::vector<double>>(s.speeds);
-            WarmSlot& warm = *entry.warm;
-            const util::MutexLock lock(warm.mutex);
-            warm.speeds = std::move(snapshot);
-          }
-          return s;
+          return core::solve_continuous(instance, m, continuous_options);
         } else if constexpr (std::is_same_v<M, model::VddHoppingModel>) {
           return core::solve_vdd_lp(instance, m).solution;  // unreachable
         } else if constexpr (std::is_same_v<M, model::DiscreteModel>) {
@@ -339,15 +304,10 @@ std::vector<core::Solution> ReclaimEngine::kernel_batch(
         ++j;
       }
       std::optional<core::KernelPlan> plan;
-      if (j - i >= options_.kernel_min_run) {
-        core::KernelPlanHints hints;
-        if (options_.reuse_shapes) {
-          const ShapeEntry entry = shape_of(head.exec_graph);
-          hints.shape = entry.shape;
-          hints.sp_tree = entry.sp_tree;
-          hints.comp = entry.comp;
-        }
-        plan = core::plan_kernel(head, model, options, hints);
+      if (j - i >= kKernelMinRun) {
+        const ShapeEntry entry = shape_of(head.exec_graph);
+        plan = core::plan_kernel(head, model, options,
+                                 {entry.shape, entry.sp_tree, entry.comp});
       }
       if (!plan) {
         for (std::size_t k = i; k < j; ++k) out[k] = solve_scalar(k);
@@ -375,7 +335,7 @@ std::vector<core::Solution> ReclaimEngine::kernel_batch(
 
   // Pass 1 (caller thread): discover maximal candidate runs with cheap
   // structural predicates only — topology/model equality, no planning.
-  // Runs shorter than kernel_min_run stay scalar (planning a tiny run
+  // Runs shorter than kKernelMinRun stay scalar (planning a tiny run
   // costs more than it saves).
   struct Run {
     std::size_t begin;
@@ -394,7 +354,7 @@ std::vector<core::Solution> ReclaimEngine::kernel_batch(
            core::kernel_run_compatible(head, instance_at(j))) {
       ++j;
     }
-    if (j - i >= options_.kernel_min_run) runs.push_back({i, j});
+    if (j - i >= kKernelMinRun) runs.push_back({i, j});
     i = j;
   }
 
@@ -405,14 +365,9 @@ std::vector<core::Solution> ReclaimEngine::kernel_batch(
   std::vector<std::optional<core::KernelPlan>> run_plans(runs.size());
   const auto plan_run = [&](std::size_t r) {
     const core::Instance& head = instance_at(runs[r].begin);
-    core::KernelPlanHints hints;
-    if (options_.reuse_shapes) {
-      const ShapeEntry entry = shape_of(head.exec_graph);
-      hints.shape = entry.shape;
-      hints.sp_tree = entry.sp_tree;
-      hints.comp = entry.comp;
-    }
-    run_plans[r] = core::plan_kernel(head, model, options, hints);
+    const ShapeEntry entry = shape_of(head.exec_graph);
+    run_plans[r] = core::plan_kernel(head, model, options,
+                                     {entry.shape, entry.sp_tree, entry.comp});
   };
   if (pool_ && runs.size() > 1) {
     std::exception_ptr plan_error;
@@ -595,7 +550,6 @@ EngineStats ReclaimEngine::stats() const {
   s.joint_solves = joint_solves_.load(std::memory_order_relaxed);
   s.joint_improved = joint_improved_.load(std::memory_order_relaxed);
   s.kernel_solves = kernel_solves_.load(std::memory_order_relaxed);
-  s.warm_solves = warm_solves_.load(std::memory_order_relaxed);
   const auto family = [&](core::KernelFamily f) {
     return kernel_family_[static_cast<std::size_t>(f)].load(
         std::memory_order_relaxed);
@@ -631,7 +585,6 @@ void ReclaimEngine::clear_caches() {
   joint_solves_.store(0);
   joint_improved_.store(0);
   kernel_solves_.store(0);
-  warm_solves_.store(0);
   for (auto& counter : kernel_family_) counter.store(0);
 }
 

@@ -49,10 +49,10 @@
 
 namespace reclaim::engine {
 
-/// Default minimum consecutive compatible instances before solve_batch
-/// routes a run through the batched kernels (EngineOptions::kernel_min_run);
-/// shorter runs stay scalar — the plan amortizes over the run, and tiny
-/// runs would pay more in planning than they save.
+/// Minimum consecutive compatible instances before solve_batch routes a
+/// run through the batched kernels; shorter runs stay scalar — the plan
+/// amortizes over the run, and tiny runs would pay more in planning than
+/// they save.
 inline constexpr std::size_t kKernelMinRun = 4;
 
 struct EngineOptions {
@@ -69,8 +69,6 @@ struct EngineOptions {
   /// cold end alongside the entry cap — the knob a daemon sets
   /// (reclaim_serve --memo-mb) to bound resident memory.
   std::size_t memo_bytes = 0;
-  /// Cache graph::classify results (and SP decompositions) by topology key.
-  bool reuse_shapes = true;
   /// Route Discrete/Incremental chains too large for branch-and-bound to
   /// the pseudo-polynomial chain DP instead of CONT-ROUND.
   bool chain_dp = true;
@@ -82,20 +80,6 @@ struct EngineOptions {
   /// bypass the memo (they are cheaper than a memo probe) and are
   /// reported separately via EngineStats::kernel_solves.
   bool use_kernels = true;
-  /// Minimum consecutive compatible instances before a run is routed
-  /// through the batched kernels; shorter runs stay scalar. Must be >= 2
-  /// (validated at construction): a "run" of one instance has nothing to
-  /// amortize the plan over, and the scalar path is strictly cheaper.
-  std::size_t kernel_min_run = kKernelMinRun;
-  /// Seed numeric/barrier solves from the last solution of the same
-  /// topology (the dispatch-cache shape is the memo slot), so parameter
-  /// sweeps warm-start neighbor solves. The solver's acceptance guard
-  /// (strictly feasible start + objective no worse than the cold start)
-  /// keeps results deterministic given the solve order; they may differ
-  /// from cold solves only within the duality-gap target, which is why
-  /// this is opt-in — the default engine stays bit-identical across
-  /// thread counts. Requires reuse_shapes.
-  bool warm_start = false;
 };
 
 /// Cumulative counters since construction (or the last clear_caches()).
@@ -121,10 +105,8 @@ struct EngineStats {
   std::size_t joint_improved = 0;
   /// Fast-path split of the fresh solves: instances solved by the batched
   /// closed-form kernels (a subset of fresh_solves; the remainder took
-  /// the scalar dispatch path) and barrier solves that received a warm
-  /// seed from the dispatch cache (EngineOptions::warm_start).
+  /// the scalar dispatch path).
   std::size_t kernel_solves = 0;
-  std::size_t warm_solves = 0;
   /// Per-family split of kernel_solves (which stays the total): which
   /// closed-form kernel solved each fast-path instance. The tree/SP
   /// counters are the observable for "sweeps stopped re-decomposing".
@@ -212,28 +194,16 @@ class ReclaimEngine {
   void clear_caches();
 
  private:
-  /// Last numeric solution of one topology, shared through the dispatch
-  /// cache so sweeps can seed neighbor solves (EngineOptions::warm_start).
-  /// The speeds snapshot is copy-on-write: readers take the shared_ptr
-  /// under the slot mutex and release it immediately, writers swap in a
-  /// fresh vector — solves never hold the lock.
-  struct WarmSlot {
-    util::Mutex mutex;
-    std::shared_ptr<const std::vector<double>> speeds
-        RECLAIM_GUARDED_BY(mutex);
-  };
-
   /// Cached structural analysis of one topology: the classification plus,
   /// for series-parallel graphs, the decomposition tree (so repeated SP
   /// shapes skip the decomposition, their dominant structural cost), the
   /// flattened composition plan for tree/SP shapes (shared with the
   /// batched kernels so neither the scalar nor the kernel path re-walks
-  /// the topology), plus the warm-start slot when warm starts are enabled.
+  /// the topology).
   struct ShapeEntry {
     graph::GraphShape shape = graph::GraphShape::kGeneral;
     std::shared_ptr<const graph::SpTree> sp_tree;
     std::shared_ptr<const core::CompositionPlan> comp;
-    std::shared_ptr<WarmSlot> warm;
   };
 
   core::Solution solve_routed(const core::Instance& instance,
@@ -288,7 +258,6 @@ class ReclaimEngine {
   std::atomic<std::size_t> joint_solves_{0};
   std::atomic<std::size_t> joint_improved_{0};
   std::atomic<std::size_t> kernel_solves_{0};
-  std::atomic<std::size_t> warm_solves_{0};
   /// Per-family split of kernel_solves_, indexed by core::KernelFamily.
   std::atomic<std::size_t> kernel_family_[core::kKernelFamilies]{};
 };

@@ -319,7 +319,6 @@ StatsReply ReclaimServer::stats() const {
   reply.joint_solves = engine.joint_solves;
   reply.joint_improved = engine.joint_improved;
   reply.kernel_solves = engine.kernel_solves;
-  reply.warm_solves = engine.warm_solves;
   reply.kernel_single = engine.kernel_single;
   reply.kernel_chain = engine.kernel_chain;
   reply.kernel_fork = engine.kernel_fork;
@@ -364,14 +363,10 @@ std::string ReclaimServer::stats_line() const {
     line << "; joint " << s.joint_improved << "/" << s.joint_solves
          << " improved";
   }
-  if (s.kernel_solves > 0 || s.warm_solves > 0) {
-    line << "; fast path " << s.kernel_solves << " kernel + " << s.warm_solves
-         << " warm";
-    if (s.kernel_solves > 0) {
-      line << " (kernel " << s.kernel_single << " single, " << s.kernel_chain
-           << " chain, " << s.kernel_fork << " fork, " << s.kernel_tree
-           << " tree, " << s.kernel_sp << " sp)";
-    }
+  if (s.kernel_solves > 0) {
+    line << "; fast path " << s.kernel_solves << " kernel (" << s.kernel_single
+         << " single, " << s.kernel_chain << " chain, " << s.kernel_fork
+         << " fork, " << s.kernel_tree << " tree, " << s.kernel_sp << " sp)";
   }
   return line.str();
 }

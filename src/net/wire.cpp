@@ -347,7 +347,6 @@ void put_stats_reply(std::string& out, const StatsReply& stats) {
   put_u64(out, stats.raced_solves);
   put_u64(out, stats.crawl_solves);
   put_u64(out, stats.kernel_solves);
-  put_u64(out, stats.warm_solves);
   put_u64(out, stats.kernel_single);
   put_u64(out, stats.kernel_chain);
   put_u64(out, stats.kernel_fork);
@@ -383,7 +382,6 @@ StatsReply read_stats_reply(Reader& in) {
   stats.raced_solves = in.u64();
   stats.crawl_solves = in.u64();
   stats.kernel_solves = in.u64();
-  stats.warm_solves = in.u64();
   stats.kernel_single = in.u64();
   stats.kernel_chain = in.u64();
   stats.kernel_fork = in.u64();

@@ -23,12 +23,13 @@
 
 namespace reclaim::net {
 
-/// Version 4 extends STATS_REPLY with the joint speed/sleep counters
-/// (joint_solves/joint_improved). Version 3 added the per-family kernel
+/// Version 5 drops the retired barrier warm-seed counter from STATS_REPLY.
+/// Version 4 added the joint speed/sleep counters
+/// (joint_solves/joint_improved), version 3 the per-family kernel
 /// counters (kernel_single/chain/fork/tree/sp), version 2 the
-/// kernel_solves/warm_solves fast-path counters; everything else is
-/// unchanged from version 1.
-inline constexpr std::uint8_t kWireVersion = 4;
+/// kernel_solves fast-path counter; everything else is unchanged from
+/// version 1.
+inline constexpr std::uint8_t kWireVersion = 5;
 
 /// Message type byte (docs/serve_protocol.md, "Message types").
 enum class MessageType : std::uint8_t {
@@ -116,7 +117,6 @@ struct StatsReply {
   std::uint64_t raced_solves = 0;
   std::uint64_t crawl_solves = 0;
   std::uint64_t kernel_solves = 0;
-  std::uint64_t warm_solves = 0;
   /// Per-family split of kernel_solves (which stays the total).
   std::uint64_t kernel_single = 0;
   std::uint64_t kernel_chain = 0;

@@ -1,7 +1,7 @@
-// Batched fast-path tests: kernel-vs-scalar bit-identity (fuzzed),
-// warm-start determinism under the acceptance guard, arena scratch reuse
-// (no steady-state allocation growth), and the EngineStats counters that
-// split kernel-path from scalar-path solves.
+// Batched fast-path tests: kernel-vs-scalar bit-identity (fuzzed), the
+// kKernelMinRun engagement boundary, arena scratch reuse (no steady-state
+// allocation growth), and the EngineStats counters that split kernel-path
+// from scalar-path solves.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -19,7 +19,6 @@
 #include "model/energy_model.hpp"
 #include "model/platform.hpp"
 #include "util/arena.hpp"
-#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace rc = reclaim::core;
@@ -387,16 +386,27 @@ TEST(BatchKernels, RunCompatibilityRequiresSharedTopologyAndModel) {
 }
 
 TEST(BatchKernels, ShortRunsStayScalar) {
-  // kKernelMinRun instances amortize the plan; fewer must not engage it.
-  const auto sweep = homogeneous_sweep(61, re::kKernelMinRun - 1, "chain", rm::PowerLaw(3.0));
+  // kKernelMinRun compatible instances amortize the plan and engage the
+  // kernels; one fewer must not. Pinned on both kernel_batch branches:
+  // the fused 1-thread pass and the pooled discover/plan pipeline.
   const rm::EnergyModel cont = rm::ContinuousModel{2.0};
-  re::EngineOptions opts;
-  opts.threads = 1;
-  opts.memoize = false;
-  re::ReclaimEngine engine(opts);
-  (void)engine.solve_batch(std::span<const rc::Instance>(sweep), cont, {});
-  EXPECT_EQ(engine.stats().kernel_solves, 0u);
-  EXPECT_EQ(engine.stats().fresh_solves, sweep.size());
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    re::EngineOptions opts;
+    opts.threads = threads;
+    opts.memoize = false;
+    for (const std::size_t count : {re::kKernelMinRun - 1, re::kKernelMinRun}) {
+      SCOPED_TRACE("run of " + std::to_string(count));
+      // No squeezed deadlines: a hand-back would hide the boundary.
+      const auto sweep =
+          homogeneous_sweep(61, count, "chain", rm::PowerLaw(3.0), 0.0);
+      re::ReclaimEngine engine(opts);
+      (void)engine.solve_batch(std::span<const rc::Instance>(sweep), cont, {});
+      const auto stats = engine.stats();
+      EXPECT_EQ(stats.fresh_solves, count);
+      EXPECT_EQ(stats.kernel_solves, count >= re::kKernelMinRun ? count : 0u);
+    }
+  }
 }
 
 TEST(BatchKernels, StatsCountKernelSolves) {
@@ -413,29 +423,6 @@ TEST(BatchKernels, StatsCountKernelSolves) {
   EXPECT_EQ(stats.kernel_solves, sweep.size());
   engine.clear_caches();
   EXPECT_EQ(engine.stats().kernel_solves, 0u);
-}
-
-TEST(BatchKernels, KernelMinRunIsConfigurable) {
-  // A pair of compatible instances is below the default threshold but
-  // engages the kernels once kernel_min_run is lowered to 2; values < 2
-  // are rejected at construction.
-  const auto pair = homogeneous_sweep(73, 2, "chain", rm::PowerLaw(3.0), 0.0);
-  const rm::EnergyModel cont = rm::ContinuousModel{2.0};
-
-  re::EngineOptions opts;
-  opts.threads = 1;
-  opts.memoize = false;
-  re::ReclaimEngine standard(opts);
-  (void)standard.solve_batch(std::span<const rc::Instance>(pair), cont, {});
-  EXPECT_EQ(standard.stats().kernel_solves, 0u);
-
-  opts.kernel_min_run = 2;
-  re::ReclaimEngine eager(opts);
-  (void)eager.solve_batch(std::span<const rc::Instance>(pair), cont, {});
-  EXPECT_EQ(eager.stats().kernel_solves, pair.size());
-
-  opts.kernel_min_run = 1;
-  EXPECT_THROW((void)re::ReclaimEngine(opts), reclaim::InvalidArgument);
 }
 
 TEST(BatchKernels, StatsSplitKernelSolvesPerFamily) {
@@ -485,12 +472,12 @@ TEST(BatchKernels, KernelPlannerReusesShapeCache) {
   EXPECT_EQ(stats.shape_entries, 1u);
 }
 
-// ----------------------------------------------------------- warm starts
+// ---------------------------------------------------------- arena scratch
 
 namespace {
 
 /// A sweep over one general-DAG topology (numeric-barrier route) with a
-/// deadline grid — the workload warm starts are for.
+/// deadline grid.
 std::vector<rc::Instance> barrier_sweep(std::uint64_t seed, std::size_t count,
                                         double p_static = 0.0) {
   ru::Rng rng(seed);
@@ -510,87 +497,6 @@ std::vector<rc::Instance> barrier_sweep(std::uint64_t seed, std::size_t count,
 }
 
 }  // namespace
-
-TEST(WarmStart, WithinFeasibilityTolOfColdSolves) {
-  const auto sweep = barrier_sweep(71, 30);
-  const rm::EnergyModel cont = rm::ContinuousModel{2.0};
-
-  re::EngineOptions cold_opts;
-  cold_opts.threads = 1;
-  cold_opts.memoize = false;
-  re::EngineOptions warm_opts = cold_opts;
-  warm_opts.warm_start = true;
-
-  re::ReclaimEngine cold(cold_opts);
-  re::ReclaimEngine warm(warm_opts);
-  const auto cold_solutions =
-      cold.solve_batch(std::span<const rc::Instance>(sweep), cont, {});
-  const auto warm_solutions =
-      warm.solve_batch(std::span<const rc::Instance>(sweep), cont, {});
-
-  ASSERT_EQ(cold_solutions.size(), warm_solutions.size());
-  for (std::size_t i = 0; i < cold_solutions.size(); ++i) {
-    SCOPED_TRACE("instance " + std::to_string(i));
-    ASSERT_TRUE(cold_solutions[i].feasible);
-    ASSERT_TRUE(warm_solutions[i].feasible);
-    // The acceptance guard keeps a warm solve no worse than its own cold
-    // start; both converge to the duality-gap target, so the energies
-    // agree within the feasibility tolerance.
-    EXPECT_NEAR(warm_solutions[i].energy, cold_solutions[i].energy,
-                rc::kFeasibilityRelTol *
-                    std::max(1.0, cold_solutions[i].energy));
-    EXPECT_EQ(warm_solutions[i].method, cold_solutions[i].method);
-  }
-  // After the first solve of the topology every solve saw a seed.
-  EXPECT_GE(warm.stats().warm_solves, sweep.size() - 1);
-  EXPECT_EQ(cold.stats().warm_solves, 0u);
-}
-
-TEST(WarmStart, FirstSolveOfShapeIsBitIdenticalToCold) {
-  // No seed exists yet for a topology's first solve: the warm engine must
-  // produce the cold result bit for bit.
-  const auto sweep = barrier_sweep(73, 1);
-  const rm::EnergyModel cont = rm::ContinuousModel{2.0};
-
-  re::EngineOptions cold_opts;
-  cold_opts.threads = 1;
-  cold_opts.memoize = false;
-  re::EngineOptions warm_opts = cold_opts;
-  warm_opts.warm_start = true;
-
-  re::ReclaimEngine cold(cold_opts);
-  re::ReclaimEngine warm(warm_opts);
-  const auto a = cold.solve_one(sweep[0], cont);
-  const auto b = warm.solve_one(sweep[0], cont);
-  expect_identical(a, b);
-  EXPECT_EQ(warm.stats().warm_solves, 0u);
-}
-
-TEST(WarmStart, DeterministicGivenSolveOrder) {
-  const auto sweep = barrier_sweep(79, 20, 0.4);
-  const rm::EnergyModel cont = rm::ContinuousModel{2.0};
-  rc::SolveOptions options;
-  options.leakage = rc::LeakageMode::kExact;
-
-  re::EngineOptions warm_opts;
-  warm_opts.threads = 1;  // fixed solve order
-  warm_opts.memoize = false;
-  warm_opts.warm_start = true;
-
-  re::ReclaimEngine first(warm_opts);
-  re::ReclaimEngine second(warm_opts);
-  const auto a =
-      first.solve_batch(std::span<const rc::Instance>(sweep), cont, options);
-  const auto b =
-      second.solve_batch(std::span<const rc::Instance>(sweep), cont, options);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    SCOPED_TRACE("instance " + std::to_string(i));
-    expect_identical(a[i], b[i]);
-  }
-}
-
-// ---------------------------------------------------------- arena scratch
 
 TEST(Arena, ScopedAllocationsRewind) {
   ru::Arena arena(256);

@@ -1,14 +1,16 @@
 // Concurrency stress: N pipelined clients hammering one ReclaimServer
 // over socketpairs with mixed SOLVE/STATS/PING traffic while the memo
-// evicts under a tiny byte cap and warm starts are enabled.
+// evicts under a tiny byte cap.
 //
 // This is the primary ThreadSanitizer target (CI's tsan job runs it next
 // to the engine/net/kernel suites) and it doubles as a functional test in
 // the normal suite: every reply must be attributable, totals must
-// balance, and the tiny cache must actually churn. The engine pool, the
+// balance, the tiny cache must actually churn, and every answer to the
+// same request must be bit-identical however it was produced (fresh
+// solve, memo hit, or re-solve after an eviction). The engine pool, the
 // per-connection reader/worker handoff, the shared LRU memo, the
-// dispatch/shape cache, the warm-start slots, and the live STATS sampler
-// are all exercised simultaneously — exactly the surface the thread-
+// dispatch/shape cache, and the live STATS sampler are all exercised
+// simultaneously — exactly the surface the thread-
 // safety annotations (util/annotated_mutex.hpp) claim to protect.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
@@ -19,6 +21,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "engine/solution_cache.hpp"
@@ -38,8 +41,7 @@ namespace ru = reclaim::util;
 namespace {
 
 /// 2x3 grid (right + down edges): classified general, so continuous
-/// solves take the numeric barrier — the path that consumes and writes
-/// back warm-start seeds.
+/// solves take the numeric barrier.
 constexpr const char* kGridGraph =
     "task a 1\ntask b 2\ntask c 1\ntask d 2\ntask e 1\ntask f 2\n"
     "edge a b\nedge b c\nedge d e\nedge e f\n"
@@ -55,6 +57,14 @@ struct ClientTally {
   std::uint64_t errors = 0;
   std::uint64_t pongs = 0;
   std::uint64_t stats_replies = 0;
+  /// Every feasible RESULT, tagged with the request that produced it.
+  std::vector<std::pair<std::string, rc::Solution>> feasible;
+};
+
+/// What a client asked for, keyed by request id until the reply arrives.
+struct PendingRequest {
+  int kind = 0;     ///< 0 = solve, 1 = ping, 2 = stats
+  std::string key;  ///< solves only: "<graph>@<deadline>"
 };
 
 /// One pipelined client: a sender thread issues the mixed request stream
@@ -78,37 +88,40 @@ void run_client(rn::ReclaimServer& server, int client_index, int requests,
   // id -> what we asked for; filled by the sender, consumed by the
   // reader. Guarded by the annotated mutex the library itself uses.
   ru::Mutex mutex;
-  std::map<std::uint64_t, int> pending RECLAIM_GUARDED_BY(mutex);
+  std::map<std::uint64_t, PendingRequest> pending RECLAIM_GUARDED_BY(mutex);
   std::atomic<std::uint64_t> sent{0};
 
   std::thread sender([&] {
-    // Deadline grid: repeats across clients (memo hits), varies within a
-    // client (fresh solves sharing one warm slot per topology). A few
+    // Deadline grid: repeats across clients (memo hits) and within a
+    // client (re-solves once the tiny memo has evicted the entry). A few
     // deadlines sit below the critical path so infeasible results flow
     // through the same pipe.
     const double deadlines[] = {3.0, 4.5, 6.0, 2.5, 8.0, 3.5};
     for (int i = 0; i < requests; ++i) {
       std::uint64_t id = 0;
-      int kind = 0;  // 0 = solve, 1 = ping, 2 = stats
+      PendingRequest what;
       if (i % 11 == 7) {
         id = client.send_ping();
-        kind = 1;
+        what.kind = 1;
       } else if (i % 7 == 3) {
         id = client.send_stats();
-        kind = 2;
+        what.kind = 2;
       } else {
+        const bool chain = i % 3 == 0;
         rn::SolveRequest request;
-        request.graph_text = (i % 3 == 0) ? kChainGraph : kGridGraph;
+        request.graph_text = chain ? kChainGraph : kGridGraph;
         request.deadline =
             deadlines[static_cast<std::size_t>(i + client_index) %
                       std::size(deadlines)];
         request.model = rm::ContinuousModel{2.0};
         request.processors = 2;
         id = client.send_solve(request);
+        what.key = std::string(chain ? "chain" : "grid") + "@" +
+                   std::to_string(request.deadline);
       }
       {
         const ru::MutexLock lock(mutex);
-        pending.emplace(id, kind);
+        pending.emplace(id, std::move(what));
       }
       sent.fetch_add(1, std::memory_order_relaxed);
     }
@@ -122,23 +135,25 @@ void run_client(rn::ReclaimServer& server, int client_index, int requests,
                     << requests << " replies)";
       break;
     }
-    int kind = -1;
+    PendingRequest what{-1, {}};
     {
       const ru::MutexLock lock(mutex);
       const auto it = pending.find(message->id);
       if (it == pending.end()) {
         ADD_FAILURE() << "reply for unknown request id " << message->id;
       } else {
-        kind = it->second;
+        what = std::move(it->second);
         pending.erase(it);
       }
     }
+    const int kind = what.kind;
     ++answered;
     if (const auto* result = std::get_if<rn::SolveResult>(&message->body)) {
       EXPECT_EQ(kind, 0);
       ++tally.results;
       if (result->solution.feasible) {
         EXPECT_GT(result->solution.energy, 0.0);
+        tally.feasible.emplace_back(std::move(what.key), result->solution);
       }
     } else if (std::holds_alternative<rn::ErrorReply>(message->body)) {
       ++tally.errors;
@@ -165,10 +180,9 @@ void run_client(rn::ReclaimServer& server, int client_index, int requests,
 
 }  // namespace
 
-TEST(ConcurrencyStress, MixedTrafficUnderEvictionAndWarmStarts) {
+TEST(ConcurrencyStress, MixedTrafficUnderEvictionIsBitIdentical) {
   rn::ServerOptions options;
   options.engine.threads = 3;
-  options.engine.warm_start = true;
   options.engine.memo_capacity = 8;
   options.engine.memo_bytes = 2048;  // a few entries: constant LRU churn
   rn::ReclaimServer server(options);
@@ -206,9 +220,32 @@ TEST(ConcurrencyStress, MixedTrafficUnderEvictionAndWarmStarts) {
   EXPECT_GT(stats.memo_hits, 0u);
   EXPECT_GT(stats.memo_evictions, 0u);
   EXPECT_LE(stats.memo_entries, 8u);
-  // Grid solves are numeric: after the first write-back every fresh solve
-  // of that topology is seeded from the shared warm slot.
-  EXPECT_GT(stats.warm_solves, 0u);
+
+  // The engine's contract: one request, one answer. Every feasible reply
+  // to the same (graph, deadline) must be bit-identical across clients,
+  // LRU evictions and worker interleavings.
+  std::map<std::string, rc::Solution> first_answer;
+  std::size_t repeats = 0;
+  for (const auto& tally : tallies) {
+    for (const auto& [key, solution] : tally.feasible) {
+      const auto [it, fresh] = first_answer.emplace(key, solution);
+      if (fresh) continue;
+      ++repeats;
+      SCOPED_TRACE(key);
+      const rc::Solution& first = it->second;
+      EXPECT_EQ(solution.method, first.method);
+      EXPECT_EQ(solution.energy, first.energy);  // bit-identical
+      EXPECT_EQ(solution.speeds, first.speeds);
+    }
+  }
+  EXPECT_GT(repeats, 0u);
+  // Some grid deadline must be feasible, so the check covers the numeric
+  // barrier route and not only the chain's closed form.
+  std::size_t grid_keys = 0;
+  for (const auto& [key, solution] : first_answer) {
+    grid_keys += key.rfind("grid@", 0) == 0 ? 1 : 0;
+  }
+  EXPECT_GT(grid_keys, 0u);
 }
 
 TEST(ConcurrencyStress, SolutionCacheHammer) {

@@ -153,7 +153,7 @@ TEST(ExactBb, NodeBudgetAbort) {
   options.warm_start = true;
   const auto result = rc::solve_discrete_exact(instance, m, options);
   EXPECT_FALSE(result.proven_optimal);
-  // The warm-start incumbent is still returned.
+  // The CONT-ROUND incumbent is still returned.
   EXPECT_TRUE(result.solution.feasible);
 }
 

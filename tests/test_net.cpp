@@ -165,12 +165,16 @@ TEST(Wire, RoundTripStatsReply) {
   stats.raced_solves = 7;
   stats.crawl_solves = 9;
   stats.kernel_solves = 25;
-  stats.warm_solves = 4;
   stats.joint_solves = 11;
   stats.joint_improved = 6;
   stats.clients = {{1, 50, 50, 0}, {2, 50, 48, 2}};
   expect_round_trip({14, stats});
   EXPECT_DOUBLE_EQ(stats.hit_rate(), 0.6);
+  // The v5 layout of docs/serve_protocol.md: a 10-byte header, 24 u64
+  // counters, a u32 client count, and four u64s per client row.
+  const std::string bytes = rn::encode(rn::Message{14, stats});
+  EXPECT_EQ(static_cast<std::uint8_t>(bytes[0]), 5u);
+  EXPECT_EQ(bytes.size(), 10u + 24u * 8u + 4u + 2u * 4u * 8u);
 }
 
 TEST(Wire, EncodeRejectsNaN) {
@@ -199,13 +203,18 @@ TEST(Wire, DecodeRejectsNaNField) {
 }
 
 TEST(Wire, DecodeRejectsBadVersion) {
-  std::string bytes = rn::encode(rn::Message{1, rn::Ping{}});
-  bytes[0] = 0x2a;
-  try {
-    (void)rn::decode(bytes);
-    FAIL() << "expected WireError";
-  } catch (const rn::WireError& e) {
-    EXPECT_EQ(e.code(), rn::ErrorCode::kBadVersion);
+  // 4 is the previous version, whose STATS_REPLY still carried the
+  // barrier warm-seed counter: a v4 peer must be refused, not misparsed.
+  for (const char version : {'\x2a', '\x04'}) {
+    std::string bytes = rn::encode(rn::Message{1, rn::Ping{}});
+    bytes[0] = version;
+    try {
+      (void)rn::decode(bytes);
+      ADD_FAILURE() << "expected WireError for version "
+                    << static_cast<int>(version);
+    } catch (const rn::WireError& e) {
+      EXPECT_EQ(e.code(), rn::ErrorCode::kBadVersion);
+    }
   }
 }
 

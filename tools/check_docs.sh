@@ -5,7 +5,9 @@
 #      and docs/*.md must resolve to an existing file.
 #   2. Every --flag a tool prints in its --help must be documented in
 #      docs/cli.md (the help texts carry "keep in sync" comments pointing
-#      back here).
+#      back here), and every | `--flag` table row in docs/cli.md must be
+#      printed by some tool's --help, so a removed flag cannot linger in
+#      the docs.
 #
 # Usage: tools/check_docs.sh [build-dir]   (default: build)
 set -u
@@ -37,6 +39,7 @@ for doc in README.md DESIGN.md ROADMAP.md docs/*.md; do
 done
 
 # --- 2. --help flags vs docs/cli.md ------------------------------------
+help_flags=" "
 for tool in reclaim_cli reclaim_serve reclaim_client; do
   bin="$build_dir/$tool"
   if [ ! -x "$bin" ]; then
@@ -44,10 +47,16 @@ for tool in reclaim_cli reclaim_serve reclaim_client; do
     continue
   fi
   for flag in $("$bin" --help | grep -o '^  --[a-z-]*' | sort -u); do
+    help_flags+="$flag "
     if ! grep -q -- "\`$flag" docs/cli.md; then
       say_fail "$tool --help documents '$flag' but docs/cli.md does not mention it"
     fi
   done
+done
+for flag in $(grep -o '^| `--[a-z-]*' docs/cli.md | sed 's/^| `//' | sort -u); do
+  if [[ "$help_flags" != *" $flag "* ]]; then
+    say_fail "docs/cli.md documents '$flag' but no tool's --help prints it"
+  fi
 done
 
 if [ "$failures" -gt 0 ]; then

@@ -15,7 +15,9 @@
 #      solver-relevant knob, forget the hash line, and two different
 #      instances alias onto one memo entry — the cache silently serves
 #      wrong answers. A field that genuinely must not be hashed gets a
-#      `// key-exempt(name): reason` line in instance_key.cpp.
+#      `// key-exempt(name): reason` line in instance_key.cpp; an
+#      exemption naming no field of any checked struct is stale (its field
+#      was deleted or renamed) and fails too.
 #
 #   3. float-eq: no ==/!= against a NONZERO float literal in src/core.
 #      Exact zero tests are legitimate sentinels ("no work on this node");
@@ -97,6 +99,7 @@ rule_memo_key() {
     say_fail "memo-key: $key_src missing"
     return
   fi
+  local all_fields=""
   check_struct() {
     local file="$1" name="$2" field
     if [ ! -f "$file" ]; then
@@ -105,6 +108,7 @@ rule_memo_key() {
     fi
     while IFS= read -r field; do
       [ -n "$field" ] || continue
+      all_fields+=" $field "
       if ! grep -qw "$field" "$key_src" \
           && ! grep -q "key-exempt($field)" "$key_src"; then
         say_fail "memo-key: $name::$field is not hashed in" \
@@ -121,6 +125,17 @@ rule_memo_key() {
   check_struct "$root/src/model/energy_model.hpp" IncrementalModel
   check_struct "$root/src/model/power_model.hpp" SleepSpec
   check_struct "$root/src/engine/reclaim_engine.hpp" EngineOptions
+
+  local exempt
+  while IFS= read -r exempt; do
+    [ -n "$exempt" ] || continue
+    if [[ "$all_fields" != *" $exempt "* ]]; then
+      say_fail "memo-key: stale '// key-exempt($exempt)' in" \
+               "src/engine/instance_key.cpp names no field of a checked" \
+               "struct — delete it"
+    fi
+  done < <(grep -o 'key-exempt([A-Za-z_][A-Za-z0-9_]*)' "$key_src" \
+               | sed 's/^key-exempt(\(.*\))$/\1/')
 }
 
 # --- 3. float-eq -------------------------------------------------------
@@ -160,6 +175,9 @@ self_test() {
   # 2. a solver-relevant knob with no matching hash line
   sed -i 's/^struct SolveOptions {$/struct SolveOptions {\n  double injected_knob = 0.5;/' \
       "$scratch/src/core/solve.hpp"
+  # 2b. an exemption whose field no longer exists
+  printf '// key-exempt(injected_stale): field deleted long ago\n' \
+      >> "$scratch/src/engine/instance_key.cpp"
   # 3. equality against a nonzero float literal
   printf 'bool injected(double x) { return x == 1.5; }\n' \
       > "$scratch/src/core/injected.cpp"
@@ -173,6 +191,8 @@ self_test() {
       || { echo "self-test: naked-mutex rule did not fire"; ok=0; }
   echo "$out" | grep -q 'memo-key: SolveOptions::injected_knob' \
       || { echo "self-test: memo-key rule did not fire"; ok=0; }
+  echo "$out" | grep -q "memo-key: stale '// key-exempt(injected_stale)'" \
+      || { echo "self-test: stale key-exempt check did not fire"; ok=0; }
   echo "$out" | grep -q 'float-eq: .*injected\.cpp' \
       || { echo "self-test: float-eq rule did not fire"; ok=0; }
 
@@ -183,7 +203,7 @@ self_test() {
   fi
 
   if [ "$ok" -eq 1 ]; then
-    echo "rules-check self-test: OK (all 3 rules fire on planted violations)"
+    echo "rules-check self-test: OK (all 3 rules and the stale-exemption check fire on planted violations)"
     exit 0
   fi
   echo "rules-check self-test: FAILED" >&2

@@ -141,9 +141,6 @@ int cmd_solve_batch(const Args& args) {
   engine::EngineOptions engine_options;
   engine_options.threads = args.count_or("threads", 0);
   engine_options.use_kernels = !args.flag("no-kernels");
-  engine_options.kernel_min_run =
-      args.count_or("kernel-min-run", engine::kKernelMinRun);
-  engine_options.warm_start = args.flag("warm-start");
   engine::ReclaimEngine engine(engine_options);
 
   util::Timer timer;
@@ -230,15 +227,11 @@ int cmd_solve_batch(const Args& args) {
     std::cerr << "; joint-sleep improved " << stats.joint_improved << " of "
               << stats.joint_solves << " solves";
   }
-  if (stats.kernel_solves > 0 || stats.warm_solves > 0) {
-    std::cerr << "; fast path " << stats.kernel_solves << " kernel + "
-              << stats.warm_solves << " warm";
-    if (stats.kernel_solves > 0) {
-      std::cerr << " (kernel " << stats.kernel_single << " single, "
-                << stats.kernel_chain << " chain, " << stats.kernel_fork
-                << " fork, " << stats.kernel_tree << " tree, "
-                << stats.kernel_sp << " sp)";
-    }
+  if (stats.kernel_solves > 0) {
+    std::cerr << "; fast path " << stats.kernel_solves << " kernel ("
+              << stats.kernel_single << " single, " << stats.kernel_chain
+              << " chain, " << stats.kernel_fork << " fork, "
+              << stats.kernel_tree << " tree, " << stats.kernel_sp << " sp)";
   }
   std::cerr << "\n";
   return feasible == solutions.size() ? 0 : 2;
@@ -393,10 +386,6 @@ solve options:
   --mapping <file>       explicit mapping (skips the list scheduler)
   --threads <t>          engine worker threads (batch)       [default: cores]
   --no-kernels           disable the batched closed-form kernels (batch)
-  --kernel-min-run <n>   shortest same-topology run the kernels take over;
-                         shorter runs stay scalar (batch) [default 4; min 2]
-  --warm-start           warm-start numeric solves from the last solution
-                         of the same topology (batch)
   --csv <1>              batch output as CSV instead of a table
 
 schedule options: --graph, --processors
@@ -411,7 +400,7 @@ int main(int argc, char** argv) {
   try {
     const Args args = parse_args(
         argc, argv, "usage: reclaim_cli <command> [--opt value]...",
-        /*valueless=*/{"no-kernels", "warm-start", "joint-sleep"});
+        /*valueless=*/{"no-kernels", "joint-sleep"});
     if (args.command == "help") return cmd_help();
     if (args.command == "solve") return cmd_solve(args);
     if (args.command == "classify") return cmd_classify(args);

@@ -188,8 +188,7 @@ void print_server_stats(const net::StatsReply& stats) {
             << "fast path: " << stats.kernel_solves << " kernel solves ("
             << stats.kernel_single << " single, " << stats.kernel_chain
             << " chain, " << stats.kernel_fork << " fork, " << stats.kernel_tree
-            << " tree, " << stats.kernel_sp << " sp), " << stats.warm_solves
-            << " warm-started solves\n"
+            << " tree, " << stats.kernel_sp << " sp)\n"
             << "joint sleep: " << stats.joint_improved << "/"
             << stats.joint_solves << " solves improved on the race anchor\n";
   for (const auto& client : stats.clients) {

@@ -50,11 +50,6 @@ engine:
   --memo-mb <m>          solution-memo byte cap, MiB  [default 64; 0 = off]
   --no-kernels           disable the batched closed-form kernels inside
                          solve_batch (scalar dispatch for every instance)
-  --kernel-min-run <n>   shortest same-topology run the kernels take over
-                         (shorter runs stay scalar)      [default 4; min 2]
-  --warm-start           seed numeric solves from the last solution of the
-                         same topology (results may differ from cold solves
-                         within the duality-gap target)
 
 service:
   --stats-interval <s>   seconds between stats lines on stderr
@@ -75,9 +70,6 @@ int run(const Args& args) {
   options.engine.memo_capacity = args.count_or("memo-entries", 1 << 16);
   options.engine.memo_bytes = args.count_or("memo-mb", 64) << 20;
   options.engine.use_kernels = !args.flag("no-kernels");
-  options.engine.kernel_min_run =
-      args.count_or("kernel-min-run", engine::kKernelMinRun);
-  options.engine.warm_start = args.flag("warm-start");
   options.solve = parse_solve_options(args);
   options.stats_log_interval_s = args.number_or("stats-interval", 10.0);
   options.log = &std::cerr;
@@ -111,8 +103,7 @@ int main(int argc, char** argv) {
     Args args;  // bare `reclaim_serve` runs with the defaults
     if (argc >= 2) {
       args = parse_args(argc, argv, "usage: reclaim_serve [--opt value]...",
-                        /*valueless=*/{"stdio", "no-kernels", "warm-start",
-                                       "joint-sleep"});
+                        /*valueless=*/{"stdio", "no-kernels", "joint-sleep"});
     }
     if (args.command == "help") return cmd_help();
     if (!args.command.empty()) {
