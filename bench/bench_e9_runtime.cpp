@@ -1,9 +1,11 @@
 // E9 — solver scalability (the polynomial claims of Theorems 2-3 and the
 // exponential reality of Theorem 4), measured with google-benchmark.
 //
-// Complexity expectations: tree/SP solvers ~ O(n); the barrier solver is
-// polynomial with a dense O(n^3) Newton step; the Vdd LP is polynomial;
-// branch-and-bound grows exponentially with n.
+// Complexity expectations: tree/SP solvers ~ O(n); the barrier solver
+// takes ~100-150 Newton steps, each a sparse Cholesky whose cost follows
+// the fill of its minimum-degree ordering (near O(n) on trees, more on
+// wide layered DAGs); the Vdd LP is polynomial; branch-and-bound grows
+// exponentially with n. The barrier cases report Newton steps per solve.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
@@ -38,20 +40,48 @@ void BM_SpSolver(benchmark::State& state) {
 }
 BENCHMARK(BM_SpSolver)->Arg(50)->Arg(200)->Arg(800)->Complexity();
 
+/// Barrier solves of `instance`, forced past the closed forms, with the
+/// Newton steps of one solve as a counter.
+void run_barrier(benchmark::State& state, const core::Instance& instance) {
+  core::ContinuousOptions force;
+  force.force_numeric = true;
+  std::size_t steps = 0;
+  for (auto _ : state) {
+    auto s =
+        core::solve_continuous(instance, model::ContinuousModel{2.0}, force);
+    benchmark::DoNotOptimize(s.energy);
+    steps = s.iterations;
+  }
+  state.counters["newton_steps"] = static_cast<double>(steps);
+  state.SetComplexityN(state.range(0));
+}
+
 void BM_NumericBarrier(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(n);
   const auto g = graph::make_layered(n / 5, 5, 0.4, rng);
-  auto instance = core::make_instance(g, 1.4 * core::min_deadline(g, 2.0));
-  core::ContinuousOptions force;
-  force.force_numeric = true;
-  for (auto _ : state) {
-    auto s = core::solve_continuous(instance, model::ContinuousModel{2.0}, force);
-    benchmark::DoNotOptimize(s.energy);
-  }
-  state.SetComplexityN(state.range(0));
+  run_barrier(state,
+              core::make_instance(g, 1.4 * core::min_deadline(g, 2.0)));
 }
-BENCHMARK(BM_NumericBarrier)->Arg(25)->Arg(50)->Arg(100)->Complexity();
+BENCHMARK(BM_NumericBarrier)
+    ->Arg(25)
+    ->Arg(50)
+    ->Arg(100)
+    ->Arg(400)
+    ->Arg(1000)
+    ->Complexity();
+
+/// The tree solver's instances through the barrier: a random out-tree has
+/// parents far (in index order) from their children, so this case shows
+/// the ordering keeping the factor sparse.
+void BM_NumericBarrierOutTree(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(n);
+  const auto g = graph::make_random_out_tree(n, rng);
+  run_barrier(state,
+              core::make_instance(g, 1.3 * core::min_deadline(g, 2.0)));
+}
+BENCHMARK(BM_NumericBarrierOutTree)->Arg(1000);
 
 void BM_VddLp(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

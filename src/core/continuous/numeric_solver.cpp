@@ -38,11 +38,13 @@ class EnergyObjective final : public opt::ConvexObjective {
                   util::Arena& arena)
       : n_(instance.exec_graph.num_nodes()),
         weights_(arena.alloc<double>(n_)),
+        powered_(arena.alloc<double>(n_)),
         alphas_(arena.alloc<double>(n_)),
         statics_(arena.alloc<double>(n_)) {
     for (graph::NodeId v = 0; v < n_; ++v) {
       weights_[v] = instance.exec_graph.weight(v);
       alphas_[v] = instance.power_of(v).alpha();
+      powered_[v] = std::pow(weights_[v], alphas_[v]);
       statics_[v] = exact_leakage ? instance.power_of(v).p_static() : 0.0;
     }
   }
@@ -54,8 +56,7 @@ class EnergyObjective final : public opt::ConvexObjective {
       if (w == 0.0) continue;
       const double d = x[n_ + i];
       if (d <= 0.0) return kInf;
-      e += std::pow(w, alphas_[i]) / std::pow(d, alphas_[i] - 1.0) +
-           statics_[i] * d;
+      e += powered_[i] / std::pow(d, alphas_[i] - 1.0) + statics_[i] * d;
     }
     return e;
   }
@@ -66,25 +67,27 @@ class EnergyObjective final : public opt::ConvexObjective {
       if (w == 0.0) continue;
       const double d = x[n_ + i];
       const double alpha = alphas_[i];
-      grad[n_ + i] += -(alpha - 1.0) * std::pow(w, alpha) / std::pow(d, alpha) +
-                      statics_[i];
+      grad[n_ + i] +=
+          -(alpha - 1.0) * powered_[i] / std::pow(d, alpha) + statics_[i];
     }
   }
 
-  void add_hessian(const la::Vector& x, la::Matrix& hess) const override {
+  void add_hessian_diagonal(const la::Vector& x,
+                            la::Vector& diag) const override {
     for (std::size_t i = 0; i < n_; ++i) {
       const double w = weights_[i];
       if (w == 0.0) continue;
       const double d = x[n_ + i];
       const double alpha = alphas_[i];
-      hess(n_ + i, n_ + i) +=
-          alpha * (alpha - 1.0) * std::pow(w, alpha) / std::pow(d, alpha + 1.0);
+      diag[n_ + i] +=
+          alpha * (alpha - 1.0) * powered_[i] / std::pow(d, alpha + 1.0);
     }
   }
 
  private:
   std::size_t n_;
   std::span<double> weights_;
+  std::span<double> powered_;  ///< w_i^alpha_i
   std::span<double> alphas_;
   std::span<double> statics_;
 };

@@ -1,8 +1,8 @@
-// Cholesky factorization for symmetric positive definite systems.
+// Dense Cholesky factorization for symmetric positive definite systems.
 //
-// The interior-point solver's Newton step reduces to solving H dx = -g with
-// H symmetric positive definite; this factorization is the hot path, so it
-// works in place on row-major storage with contiguous inner loops.
+// The reference factorization: la::SparseCholesky (the barrier solver's
+// Newton systems) is tested against it. It works on row-major storage
+// with contiguous inner loops.
 #pragma once
 
 #include "la/matrix.hpp"

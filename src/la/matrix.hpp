@@ -1,16 +1,16 @@
-// Dense row-major matrix and BLAS-1/2 style helpers.
+// Dense row-major matrix and BLAS-2 style products.
 //
-// The optimization substrate needs only a modest dense toolkit: symmetric
-// positive-definite solves for interior-point Newton steps and pivoted LU
+// The dense toolkit is small: the simplex tableau, a reference Cholesky
+// (the oracle the sparse factorization is tested against) and pivoted LU
 // for general systems. Everything is self-contained (no external BLAS).
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
-namespace reclaim::la {
+#include "la/vector.hpp"
 
-using Vector = std::vector<double>;
+namespace reclaim::la {
 
 class Matrix {
  public:
@@ -59,20 +59,5 @@ class Matrix {
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
-
-/// Dot product; requires equal sizes.
-[[nodiscard]] double dot(const Vector& a, const Vector& b);
-
-/// Euclidean norm.
-[[nodiscard]] double norm2(const Vector& v);
-
-/// Infinity norm.
-[[nodiscard]] double norm_inf(const Vector& v);
-
-/// y += alpha * x (in place); requires equal sizes.
-void axpy(double alpha, const Vector& x, Vector& y);
-
-/// Element-wise scale: v *= alpha.
-void scale(Vector& v, double alpha);
 
 }  // namespace reclaim::la

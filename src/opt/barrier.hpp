@@ -6,26 +6,33 @@
 // over a polyhedron — the "geometric programming" observation of the paper
 // (Section 2.1, citing Boyd-Vandenberghe). A textbook barrier method with
 // Newton centering is exact to the requested duality gap.
+//
+// The Newton system is sparse: the objective's Hessian is diagonal and
+// every constraint adds a rank-one term over its own few variables. The
+// pattern is fixed for the whole solve, so it is ordered and analysed once
+// (la::SparseCholesky) and only refactored per step (DESIGN.md, "Newton
+// system structure").
 #pragma once
 
 #include <cstddef>
 #include <utility>
 #include <vector>
 
-#include "la/matrix.hpp"
+#include "la/vector.hpp"
 
 namespace reclaim::opt {
 
-/// Smooth convex objective with caller-supplied derivatives. The Hessian
-/// contribution is *added* into the KKT matrix so barrier terms can share
-/// the same buffer.
+/// Smooth, convex and separable objective with caller-supplied
+/// derivatives: its Hessian is diagonal. Gradient and Hessian diagonal are
+/// *added* into the caller's buffers.
 class ConvexObjective {
  public:
   virtual ~ConvexObjective() = default;
 
   [[nodiscard]] virtual double value(const la::Vector& x) const = 0;
   virtual void add_gradient(const la::Vector& x, la::Vector& grad) const = 0;
-  virtual void add_hessian(const la::Vector& x, la::Matrix& hess) const = 0;
+  virtual void add_hessian_diagonal(const la::Vector& x,
+                                    la::Vector& diag) const = 0;
 };
 
 /// One inequality `terms . x <= rhs` with a sparse coefficient list.

@@ -1,10 +1,11 @@
 // Shared differential-fuzz harness: the seeded instance generator the
-// randomized suites (test_exact_leaky, test_joint_sleep) drive their
-// cross-checks through.
+// randomized suites (test_exact_leaky, test_joint_sleep, test_continuous's
+// barrier route equivalence) drive their cross-checks through.
 //
 // One trial = one feasible-by-construction mapped instance:
 //
-//   app graph -> list_schedule onto P processors -> execution graph ->
+//   app graph -> list_schedule onto P processors (or one task per
+//   processor) -> execution graph ->
 //   deadline = slack * D_min(exec, s_ref)
 //
 // where s_ref is the slowest effective cap, so every instance admits the
@@ -77,6 +78,11 @@ struct FuzzOptions {
   /// Trial -> platform; consumes the RNG after the app draw.
   std::function<model::Platform(std::size_t, std::size_t, util::Rng&)>
       platform;
+  /// Map task v alone onto processor v instead of list scheduling (`procs`
+  /// is then unused and the platform gets one processor per task). The
+  /// execution graph is the app graph itself, so shape-specific solvers
+  /// (chains, forks, trees, SP) still apply to it.
+  bool one_task_per_processor = false;
 };
 
 /// Drives `check` over `options.trials` generated instances. The draw
@@ -87,9 +93,16 @@ inline void run_fuzz(const FuzzOptions& options,
   util::Rng rng(options.seed);
   for (std::size_t trial = 0; trial < options.trials; ++trial) {
     graph::Digraph app = options.app(trial, rng);
-    const std::size_t procs = options.procs(trial);
+    const std::size_t procs = options.one_task_per_processor
+                                  ? app.num_nodes()
+                                  : options.procs(trial);
     const model::Platform platform = options.platform(trial, procs, rng);
-    const sched::Mapping mapping = sched::list_schedule(app, procs).mapping;
+    sched::Mapping mapping(procs);
+    if (options.one_task_per_processor) {
+      for (graph::NodeId v = 0; v < procs; ++v) mapping.assign(v, v);
+    } else {
+      mapping = sched::list_schedule(app, procs).mapping;
+    }
     auto exec = sched::build_execution_graph(app, mapping);
     // Feasible by construction: every task can run at s_ref = the slowest
     // effective cap, and the critical path at s_ref fits in D / slack.

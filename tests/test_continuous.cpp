@@ -5,6 +5,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <numeric>
+#include <string>
 #include <vector>
 
 #include "core/baselines.hpp"
@@ -17,12 +20,14 @@
 #include "graph/generators.hpp"
 #include "graph/sp_tree.hpp"
 #include "sched/schedule.hpp"
+#include "fuzz_harness.hpp"
 #include "util/rng.hpp"
 
 namespace rc = reclaim::core;
 namespace rg = reclaim::graph;
 namespace rm = reclaim::model;
 namespace rs = reclaim::sched;
+namespace rt = reclaim::testing;
 using reclaim::util::Rng;
 
 namespace {
@@ -518,4 +523,179 @@ TEST(DeadlineTight, WithinDeadlineHelperIsSymmetricallyTolerant) {
   EXPECT_TRUE(rc::within_speed_cap(2.0, 2.0));
   EXPECT_TRUE(rc::within_speed_cap(2.0 * (1.0 + 0.5 * rc::kFeasibilityRelTol), 2.0));
   EXPECT_FALSE(rc::within_speed_cap(2.0 * (1.0 + 2.0 * rc::kFeasibilityRelTol), 2.0));
+}
+
+TEST(NumericSolver, ThousandTaskOutTreesMatchTreeSolver) {
+  // Regression for the Newton system's pivot jitter. Judged against the
+  // largest Hessian entry (~1e21 late in a solve), the lift hit legitimate
+  // pivots, Newton converged only linearly and these solves took ~1300
+  // steps to land 1e-8 off. Step counts are deterministic.
+  Rng rng(41);
+  for (int trial = 0; trial < 3; ++trial) {
+    const auto g = rg::make_random_out_tree(1000, rng);
+    const auto instance =
+        rc::make_instance(g, 1.3 * rc::min_deadline(g, 2.0));
+    rc::ContinuousOptions force;
+    force.force_numeric = true;
+    const auto numeric =
+        rc::solve_continuous(instance, rm::ContinuousModel{2.0}, force);
+    const auto tree = rc::solve_tree(instance, rm::ContinuousModel{2.0});
+    ASSERT_TRUE(numeric.feasible && tree.feasible) << "trial " << trial;
+    EXPECT_EQ(numeric.method, "numeric-barrier");
+    EXPECT_NEAR(numeric.energy, tree.energy, 1e-9 * tree.energy)
+        << "trial " << trial;
+    EXPECT_LE(numeric.iterations, 300u) << "trial " << trial;
+  }
+}
+
+namespace {
+
+enum class RouteSetting { kHomogeneous, kHeterogeneous, kExactLeakFree };
+
+constexpr std::size_t kRouteFamilies = 5;
+constexpr std::size_t kRouteSizes[] = {10, 100, 1000};
+
+/// Family `trial % 5` at size kRouteSizes[trial / 5]: chain, fork,
+/// out-tree, in-tree, series-parallel.
+rg::Digraph route_app(std::size_t trial, Rng& rng) {
+  const std::size_t n = kRouteSizes[trial / kRouteFamilies];
+  switch (trial % kRouteFamilies) {
+    case 0:
+      return rg::make_chain(n, rng);
+    case 1:
+      return rg::make_fork(n - 1, rng);
+    case 2:
+      return rg::make_random_out_tree(n, rng);
+    case 3:
+      return rg::make_random_in_tree(n, rng);
+    default:
+      return rg::make_random_series_parallel(n, rng);
+  }
+}
+
+rm::Platform route_platform(RouteSetting setting, std::size_t procs,
+                            Rng& rng) {
+  switch (setting) {
+    case RouteSetting::kHomogeneous:
+      return rm::Platform(std::vector<rm::ProcessorSpec>(
+          procs, {rm::make_power_model(3.0, 0.0), 2.0}));
+    case RouteSetting::kExactLeakFree:
+      return rm::Platform(std::vector<rm::ProcessorSpec>(
+          procs, {rm::make_power_model(2.5, 0.0), 2.0}));
+    case RouteSetting::kHeterogeneous:
+      break;
+  }
+  // One exponent, caps 1.5 or 2 and static power 0 or in [0.05, 0.5]
+  // (s_crit floors up to 0.63). A chain's common speed, 1.5 / slack, sits
+  // strictly between every floor and cap, so it keeps its closed form;
+  // the other families get binding caps on fast tasks and binding floors
+  // on slow ones.
+  std::vector<rm::ProcessorSpec> specs;
+  for (std::size_t p = 0; p < procs; ++p) {
+    const double p_static = rng.bernoulli(0.2) ? 0.0 : rng.uniform(0.05, 0.5);
+    const double cap = rng.bernoulli(0.5) ? 1.5 : 2.0;
+    specs.push_back({rm::make_power_model(3.0, p_static), cap});
+  }
+  return rm::Platform(std::move(specs));
+}
+
+/// Barrier route against the closed forms, one trial per (family, size).
+/// The reference is the default dispatch: closed forms for chains, forks
+/// and trees, the SP algebra unless the cap binds (then the barrier). On
+/// the heterogeneous platform only chains have a closed form, so the
+/// other families check that a forced solve and a dispatched one agree.
+/// Leak-free exact leakage runs the barrier on the duration-charged
+/// objective, against the reduction's closed forms it must reproduce.
+void check_barrier_routes(RouteSetting setting, std::uint64_t seed) {
+  rt::FuzzOptions fuzz;
+  fuzz.seed = seed;
+  fuzz.trials = kRouteFamilies * std::size(kRouteSizes);
+  fuzz.slack_hi = 2.0;
+  fuzz.one_task_per_processor = true;
+  fuzz.app = route_app;
+  fuzz.platform = [setting](std::size_t, std::size_t procs, Rng& rng) {
+    return route_platform(setting, procs, rng);
+  };
+  const rm::ContinuousModel model{2.0};
+  rt::run_fuzz(fuzz, [&](const rt::FuzzTrial& t) {
+    const std::size_t family = t.index % kRouteFamilies;
+    SCOPED_TRACE("trial " + std::to_string(t.index) + ", n = " +
+                 std::to_string(t.instance.exec_graph.num_nodes()));
+    rc::ContinuousOptions dispatched;
+    rc::Solution numeric;
+    if (setting == RouteSetting::kExactLeakFree) {
+      dispatched.leakage = rc::LeakageMode::kExact;
+      rc::NumericOptions exact;
+      exact.exact_leakage = true;
+      numeric = rc::solve_numeric(t.instance, model, exact);
+    } else {
+      rc::ContinuousOptions force;
+      force.force_numeric = true;
+      numeric = rc::solve_continuous(t.instance, model, force);
+    }
+    const rc::Solution reference =
+        rc::solve_continuous(t.instance, model, dispatched);
+    ASSERT_TRUE(reference.feasible && numeric.feasible);
+    EXPECT_NE(numeric.method.find("numeric"), std::string::npos);
+    if (setting != RouteSetting::kHeterogeneous && family < 4) {
+      EXPECT_EQ(reference.method.find("numeric"), std::string::npos)
+          << reference.method;
+    }
+    if (setting == RouteSetting::kHeterogeneous && family == 0) {
+      EXPECT_EQ(reference.method, "closed-form-chain");
+    }
+    EXPECT_NEAR(numeric.energy, reference.energy,
+                rc::kFeasibilityRelTol * reference.energy)
+        << reference.method;
+  });
+}
+
+/// `g` with node v renamed perm[v].
+rg::Digraph relabelled(const rg::Digraph& g,
+                       const std::vector<rg::NodeId>& perm) {
+  std::vector<rg::NodeId> original(perm.size());
+  for (rg::NodeId v = 0; v < perm.size(); ++v) original[perm[v]] = v;
+  rg::Digraph h;
+  for (rg::NodeId k = 0; k < perm.size(); ++k)
+    h.add_node(g.weight(original[k]));
+  for (const rg::Edge& e : g.edges()) h.add_edge(perm[e.from], perm[e.to]);
+  return h;
+}
+
+}  // namespace
+
+TEST(BarrierRoutes, HomogeneousMatchesClosedForms) {
+  check_barrier_routes(RouteSetting::kHomogeneous, 501);
+}
+
+TEST(BarrierRoutes, HeterogeneousCapsAndFloorsMatchDispatch) {
+  check_barrier_routes(RouteSetting::kHeterogeneous, 502);
+}
+
+TEST(BarrierRoutes, LeakFreeExactObjectiveMatchesClosedForms) {
+  check_barrier_routes(RouteSetting::kExactLeakFree, 503);
+}
+
+TEST(BarrierRoutes, RelabelledDagGivesTheSameEnergy) {
+  // The Newton system's ordering is computed from the pattern, not from
+  // node ids: permuting the ids must not move the answer.
+  Rng rng(504);
+  const std::vector<rg::Digraph> graphs = {rg::make_layered(40, 5, 0.4, rng),
+                                           rg::make_random_out_tree(1000, rng)};
+  rc::ContinuousOptions force;
+  force.force_numeric = true;
+  for (const auto& g : graphs) {
+    std::vector<rg::NodeId> perm(g.num_nodes());
+    std::iota(perm.begin(), perm.end(), rg::NodeId{0});
+    rng.shuffle(perm);
+    const double deadline = 1.4 * rc::min_deadline(g, 2.0);
+    const auto a = rc::solve_continuous(rc::make_instance(g, deadline),
+                                        rm::ContinuousModel{2.0}, force);
+    const auto b =
+        rc::solve_continuous(rc::make_instance(relabelled(g, perm), deadline),
+                             rm::ContinuousModel{2.0}, force);
+    ASSERT_TRUE(a.feasible && b.feasible);
+    EXPECT_NEAR(a.energy, b.energy, 1e-9 * a.energy)
+        << "n = " << g.num_nodes();
+  }
 }
