@@ -495,34 +495,13 @@ std::optional<KernelPlan> plan_kernel(const Instance& instance,
   const std::size_t n = g.num_nodes();
   if (n == 0 || instance.deadline <= 0.0) return std::nullopt;
 
-  // Classification, in the dispatcher's order. Joins are rejected
-  // explicitly *before* the tree predicates: a join is an in-tree
-  // structurally but routes to solve_join and stays scalar.
-  std::shared_ptr<const graph::SpTree> sp_tree = hints.sp_tree;
-  graph::GraphShape shape;
-  if (hints.shape) {
-    shape = *hints.shape;
-  } else if (n == 1) {
-    shape = graph::GraphShape::kSingleTask;
-  } else if (graph::is_chain(g)) {
-    shape = graph::GraphShape::kChain;
-  } else if (graph::is_fork(g)) {
-    shape = graph::GraphShape::kFork;
-  } else if (graph::is_join(g)) {
-    shape = graph::GraphShape::kJoin;
-  } else if (graph::is_out_tree(g)) {
-    shape = graph::GraphShape::kOutTree;
-  } else if (graph::is_in_tree(g)) {
-    shape = graph::GraphShape::kInTree;
-  } else if (auto tree = graph::sp_decompose(g)) {
-    shape = graph::GraphShape::kSeriesParallel;
-    sp_tree = std::make_shared<const graph::SpTree>(std::move(*tree));
-  } else {
-    return std::nullopt;
-  }
+  // The engine's cached analysis, or graph::analyze itself. Joins are
+  // in-trees structurally but route to solve_join: they stay scalar.
+  const graph::ShapeInfo info =
+      hints.shape ? *hints.shape : graph::analyze(g);
 
   KernelPlan plan;
-  switch (shape) {
+  switch (info.shape) {
     case graph::GraphShape::kSingleTask:
       plan.family = KernelFamily::kSingle;
       break;
@@ -579,18 +558,13 @@ std::optional<KernelPlan> plan_kernel(const Instance& instance,
         plan.comp = hints.comp;
       } else {
         plan.comp =
-            build_tree_plan(g, shape == graph::GraphShape::kInTree);
+            build_tree_plan(g, info.shape == graph::GraphShape::kInTree);
       }
     } else {
       if (hints.comp && hints.comp->sp_tree) {
         plan.comp = hints.comp;
       } else {
-        if (!sp_tree) {
-          auto tree = graph::sp_decompose(g);
-          if (!tree) return std::nullopt;
-          sp_tree = std::make_shared<const graph::SpTree>(std::move(*tree));
-        }
-        plan.comp = build_sp_plan(sp_tree);
+        plan.comp = build_sp_plan(info.sp_tree);
       }
     }
   }

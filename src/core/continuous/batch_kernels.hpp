@@ -69,7 +69,7 @@ inline constexpr std::size_t kKernelFamilies = 5;
 /// everything about the *topology* that the scalar solvers recompute per
 /// instance (topological order, the SP decomposition's DFS orders). Built
 /// once per run by plan_kernel, or once per *topology* by the engine's
-/// shape cache (ContinuousOptions::sp_hint's sibling), then shared by
+/// shape cache (next to that topology's graph::ShapeInfo), then shared by
 /// every instance of the shape. Weight- and model-dependent quantities
 /// (equivalent weights, windows, the exponent) stay out: they live in the
 /// KernelPlan or in per-instance scratch.
@@ -90,7 +90,7 @@ struct CompositionPlan {
   std::vector<graph::NodeId> roots;
 
   // --- series-parallel -------------------------------------------------
-  /// The decomposition tree (shared with ContinuousOptions::sp_hint when
+  /// The decomposition tree (shared with graph::ShapeInfo::sp_tree when
   /// the engine cached it) plus recursion-free traversal orders
   /// replicating the solver's DFS: post_order visits children before
   /// parents (the equivalent-weight fold), pre_order parents before
@@ -144,13 +144,12 @@ struct KernelPlan {
 };
 
 /// Pre-computed structural facts about the head instance's topology, as
-/// cached by the engine's dispatch cache: the classification, the SP
-/// decomposition, and the flattened composition plan. All optional —
+/// cached by the engine's shape cache: its graph::analyze (shape and SP
+/// decomposition) and the flattened composition plan. Both optional —
 /// plan_kernel recomputes whatever is missing (and the hints must belong
 /// to this very topology when present).
 struct KernelPlanHints {
-  std::optional<graph::GraphShape> shape;
-  std::shared_ptr<const graph::SpTree> sp_tree;
+  std::optional<graph::ShapeInfo> shape;
   std::shared_ptr<const CompositionPlan> comp;
 };
 

@@ -1,6 +1,7 @@
 #include "core/continuous/dispatch.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -10,7 +11,6 @@
 #include "core/continuous/tree_solver.hpp"
 #include "core/continuous/waterfill.hpp"
 #include "graph/classify.hpp"
-#include "graph/sp_tree.hpp"
 #include "util/arena.hpp"
 
 namespace reclaim::core {
@@ -81,10 +81,8 @@ bool effective_bounds(const Instance& instance,
 /// (DESIGN.md, "Heterogeneous platforms").
 Solution solve_hetero(const Instance& instance,
                       const model::ContinuousModel& model,
-                      const ContinuousOptions& options) {
-  const auto& g = instance.exec_graph;
-  const std::size_t n = g.num_nodes();
-
+                      const ContinuousOptions& options,
+                      graph::GraphShape shape) {
   auto& arena = util::Arena::scratch();
   std::vector<double> caps = arena.lease_doubles();
   std::vector<double> floors = arena.lease_doubles();
@@ -98,16 +96,7 @@ Solution solve_hetero(const Instance& instance,
   }
 
   if (!options.force_numeric) {
-    // Only the serial closed forms survive heterogeneity; classifying
-    // beyond "single or chain" buys nothing here.
-    graph::GraphShape shape = graph::GraphShape::kGeneral;
-    if (options.shape_hint) {
-      shape = *options.shape_hint;
-    } else if (n == 1) {
-      shape = graph::GraphShape::kSingleTask;
-    } else if (graph::is_chain(g)) {
-      shape = graph::GraphShape::kChain;
-    }
+    // Only the serial closed forms survive heterogeneity.
     if (shape == graph::GraphShape::kSingleTask) {
       Solution s = solve_single_hetero(instance, caps[0], floors[0]);
       recycle_bounds();
@@ -144,7 +133,7 @@ Solution solve_hetero(const Instance& instance,
 /// documented not-exact class and return false.
 bool reduction_exact_a_priori(const Instance& instance,
                               const model::ContinuousModel& model,
-                              const ContinuousOptions& options) {
+                              graph::GraphShape shape) {
   const auto& g = instance.exec_graph;
   const std::size_t n = g.num_nodes();
   bool any_static = false;
@@ -156,13 +145,6 @@ bool reduction_exact_a_priori(const Instance& instance,
   }
   if (!any_static) return true;
   if (n <= 1) return true;
-
-  graph::GraphShape shape = graph::GraphShape::kGeneral;
-  if (options.shape_hint) {
-    shape = *options.shape_hint;
-  } else if (graph::is_chain(g)) {
-    shape = graph::GraphShape::kChain;
-  }
   if (shape != graph::GraphShape::kChain &&
       shape != graph::GraphShape::kSingleTask) {
     return false;
@@ -199,11 +181,13 @@ bool reduction_exact_a_priori(const Instance& instance,
 /// exact route's energy can never exceed the reduction's.
 Solution solve_exact_leaky(const Instance& instance,
                            const model::ContinuousModel& model,
-                           const ContinuousOptions& options) {
+                           const ContinuousOptions& options,
+                           const graph::ShapeInfo& info) {
   ContinuousOptions reduction_options = options;
   reduction_options.leakage = LeakageMode::kReduction;
+  reduction_options.shape = info;
   Solution reduction = solve_continuous(instance, model, reduction_options);
-  if (reduction_exact_a_priori(instance, model, options)) return reduction;
+  if (reduction_exact_a_priori(instance, model, info.shape)) return reduction;
   // Both modes share one feasible set (same deadline, caps and floors), so
   // an infeasible reduction settles the exact question too.
   if (!reduction.feasible) return reduction;
@@ -217,13 +201,8 @@ Solution solve_exact_leaky(const Instance& instance,
     return reduction;  // unreachable: the reduction reported it infeasible
   }
 
-  const bool chain_shape =
-      options.shape_hint ? *options.shape_hint == graph::GraphShape::kChain
-                         : graph::is_chain(instance.exec_graph);
-  const bool fork_shape =
-      !chain_shape &&
-      (options.shape_hint ? *options.shape_hint == graph::GraphShape::kFork
-                          : graph::is_fork(instance.exec_graph));
+  const bool chain_shape = info.shape == graph::GraphShape::kChain;
+  const bool fork_shape = info.shape == graph::GraphShape::kFork;
 
   Solution exact;
   if (chain_shape || fork_shape) {
@@ -256,12 +235,15 @@ Solution solve_exact_leaky(const Instance& instance,
 Solution solve_continuous(const Instance& instance,
                           const model::ContinuousModel& original_model,
                           const ContinuousOptions& options) {
-  if (options.leakage == LeakageMode::kExact) {
-    return solve_exact_leaky(instance, original_model, options);
-  }
   const auto& g = instance.exec_graph;
+  std::optional<graph::ShapeInfo> analyzed;
+  const graph::ShapeInfo& info =
+      options.shape ? *options.shape : analyzed.emplace(graph::analyze(g));
+  if (options.leakage == LeakageMode::kExact) {
+    return solve_exact_leaky(instance, original_model, options, info);
+  }
   if (!instance.homogeneous_tasks())
-    return solve_hetero(instance, original_model, options);
+    return solve_hetero(instance, original_model, options, info.shape);
 
   // Homogeneous platform: fold the (shared) processor cap into the model's
   // global one and run the identical-processor machinery unchanged. With
@@ -295,46 +277,10 @@ Solution solve_continuous(const Instance& instance,
       options.s_min, std::min(instance.power().critical_speed(), model.s_max));
   if (options.force_numeric) return numeric(instance, model, floor, options);
 
-  // Classify inline (same order as graph::classify) rather than calling it:
-  // classify would run the SP decomposition and discard the tree, and the
-  // kSeriesParallel case below needs it — this way it runs at most once.
-  std::optional<graph::SpTree> local_tree;
-  const graph::SpTree* sp_tree = nullptr;
-  graph::GraphShape shape;
-  if (options.shape_hint) {
-    shape = *options.shape_hint;
-    if (shape == graph::GraphShape::kSeriesParallel) {
-      if (options.sp_hint) {
-        sp_tree = options.sp_hint.get();
-      } else if ((local_tree = graph::sp_decompose(g))) {
-        sp_tree = &*local_tree;
-      }
-    }
-  } else if (g.num_nodes() == 0) {
-    shape = graph::GraphShape::kEmpty;
-  } else if (g.num_nodes() == 1) {
-    shape = graph::GraphShape::kSingleTask;
-  } else if (graph::is_chain(g)) {
-    shape = graph::GraphShape::kChain;
-  } else if (graph::is_fork(g)) {
-    shape = graph::GraphShape::kFork;
-  } else if (graph::is_join(g)) {
-    shape = graph::GraphShape::kJoin;
-  } else if (graph::is_out_tree(g)) {
-    shape = graph::GraphShape::kOutTree;
-  } else if (graph::is_in_tree(g)) {
-    shape = graph::GraphShape::kInTree;
-  } else if ((local_tree = graph::sp_decompose(g))) {
-    shape = graph::GraphShape::kSeriesParallel;
-    sp_tree = &*local_tree;
-  } else {
-    shape = graph::GraphShape::kGeneral;
-  }
-
   Solution s;
   bool solved = false;
 
-  switch (shape) {
+  switch (info.shape) {
     case graph::GraphShape::kEmpty:
       s.feasible = true;
       s.energy = 0.0;
@@ -362,10 +308,10 @@ Solution solve_continuous(const Instance& instance,
       solved = true;
       break;
     case graph::GraphShape::kSeriesParallel:
-      if (sp_tree != nullptr) {
+      if (info.sp_tree != nullptr) {
         // The SP algebra assumes s_max = +inf (Theorem 2); accept its answer
         // only when the unconstrained optimum happens to respect the cap.
-        s = solve_sp(instance, *sp_tree);
+        s = solve_sp(instance, *info.sp_tree);
         const double top = s.speeds.empty()
                                ? 0.0
                                : *std::max_element(s.speeds.begin(),

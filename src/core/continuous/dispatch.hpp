@@ -30,12 +30,10 @@
 // cheaper answer (DESIGN.md, "Exact leaky solver").
 #pragma once
 
-#include <memory>
 #include <optional>
 
 #include "core/problem.hpp"
 #include "graph/classify.hpp"
-#include "graph/sp_tree.hpp"
 #include "model/energy_model.hpp"
 
 namespace reclaim::core {
@@ -50,13 +48,10 @@ struct ContinuousOptions {
   /// answers — bit-identical to the reduction wherever that is provably
   /// exact (DESIGN.md, "Exact leaky solver").
   LeakageMode leakage = LeakageMode::kReduction;
-  /// Pre-computed classification of the execution graph. The engine's
-  /// dispatch cache classifies each topology once and passes the result
-  /// here so repeated shapes skip the structural analysis entirely.
-  std::optional<graph::GraphShape> shape_hint;
-  /// Pre-computed SP decomposition to go with a kSeriesParallel hint, so
-  /// repeated SP topologies skip the decomposition too.
-  std::shared_ptr<const graph::SpTree> sp_hint;
+  /// Pre-computed graph::analyze of the execution graph (the engine's
+  /// shape cache analyzes each topology once), so repeated shapes skip the
+  /// classification and the SP decomposition. Absent: analyzed here.
+  std::optional<graph::ShapeInfo> shape;
 };
 
 /// Solves the Continuous MinEnergy instance.

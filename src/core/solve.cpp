@@ -2,6 +2,7 @@
 
 #include "core/continuous/dispatch.hpp"
 #include "core/continuous/sleep_dp.hpp"
+#include "core/discrete/chain_dp.hpp"
 #include "core/discrete/exact_bb.hpp"
 #include "core/discrete/round_up.hpp"
 #include "core/vdd/lp_solver.hpp"
@@ -11,9 +12,19 @@ namespace reclaim::core {
 namespace {
 
 Solution solve_mode_based(const Instance& instance, const model::ModeSet& modes,
-                          const SolveOptions& options) {
-  if (instance.exec_graph.num_nodes() <= options.exact_discrete_up_to) {
+                          const SolveOptions& options,
+                          const graph::ShapeInfo* shape) {
+  const auto& g = instance.exec_graph;
+  if (g.num_nodes() <= options.exact_discrete_up_to) {
     return solve_discrete_exact(instance, modes).solution;
+  }
+  // exact_discrete_up_to == 0 means "force CONT-ROUND" (callers validating
+  // Theorem 5 rely on it), so it disables the chain DP too.
+  const bool serial = shape ? shape->shape == graph::GraphShape::kChain ||
+                                  shape->shape == graph::GraphShape::kSingleTask
+                            : graph::is_chain(g);
+  if (options.exact_discrete_up_to > 0 && serial) {
+    return solve_chain_dp(instance, modes).solution;
   }
   RoundUpOptions round_options;
   round_options.continuous_rel_gap = options.rel_gap;
@@ -23,7 +34,7 @@ Solution solve_mode_based(const Instance& instance, const model::ModeSet& modes,
 }  // namespace
 
 Solution solve(const Instance& instance, const model::EnergyModel& energy_model,
-               const SolveOptions& options) {
+               const SolveOptions& options, const graph::ShapeInfo* shape) {
   return std::visit(
       [&](const auto& m) -> Solution {
         using M = std::decay_t<decltype(m)>;
@@ -40,14 +51,15 @@ Solution solve(const Instance& instance, const model::EnergyModel& energy_model,
           continuous_options.rel_gap = options.rel_gap;
           continuous_options.s_min = options.continuous_s_min;
           continuous_options.leakage = options.leakage;
+          if (shape != nullptr) continuous_options.shape = *shape;
           return solve_continuous(instance, m, continuous_options);
         } else if constexpr (std::is_same_v<M, model::VddHoppingModel>) {
           return solve_vdd_lp(instance, m).solution;
         } else if constexpr (std::is_same_v<M, model::DiscreteModel>) {
-          return solve_mode_based(instance, m.modes, options);
+          return solve_mode_based(instance, m.modes, options, shape);
         } else {
           static_assert(std::is_same_v<M, model::IncrementalModel>);
-          return solve_mode_based(instance, m.modes, options);
+          return solve_mode_based(instance, m.modes, options, shape);
         }
       },
       energy_model);

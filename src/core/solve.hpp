@@ -1,23 +1,27 @@
-// Unified front door: solve MinEnergy under any EnergyModel variant.
+// Unified front door: solve MinEnergy under any EnergyModel variant. The
+// one dispatcher: the engine solves through it too, handing it the
+// topology's cached graph::ShapeInfo.
 //
 // Dispatch:
 //   Continuous  -> solve_continuous (closed forms / tree / SP / numeric)
 //   Vdd-Hopping -> solve_vdd_lp (exact, Theorem 3)
 //   Discrete    -> exact branch-and-bound when the instance is small
-//                  enough (Theorem 4 willing), else CONT-ROUND (Theorem 5)
+//                  enough (Theorem 4 willing), else the pseudo-polynomial
+//                  chain DP on chains, else CONT-ROUND (Theorem 5)
 //   Incremental -> same policy on the incremental mode set
 #pragma once
 
 #include "core/problem.hpp"
+#include "graph/classify.hpp"
 #include "model/energy_model.hpp"
 
 namespace reclaim::core {
 
 struct SolveOptions {
   /// Use the exact exponential solver for Discrete/Incremental when the
-  /// graph has at most this many tasks; CONT-ROUND beyond. 0 forces
-  /// CONT-ROUND regardless of size (the engine's chain-DP route honors
-  /// this too).
+  /// graph has at most this many tasks; beyond, chains take the chain DP
+  /// and every other shape CONT-ROUND. 0 forces CONT-ROUND regardless of
+  /// size and shape (the chain DP included).
   std::size_t exact_discrete_up_to = 12;
   /// Numeric/relaxation accuracy.
   double rel_gap = 1e-9;
@@ -39,9 +43,13 @@ struct SolveOptions {
 };
 
 /// Solves the instance under `energy_model`. The returned Solution's
-/// `method` field records the algorithm that actually ran.
+/// `method` field records the algorithm that actually ran. `shape`, when
+/// given, must be graph::analyze(instance.exec_graph) (the engine passes
+/// its cached copy); absent, the shape is derived here as needed. Either
+/// way the answer is the same.
 [[nodiscard]] Solution solve(const Instance& instance,
                              const model::EnergyModel& energy_model,
-                             const SolveOptions& options = {});
+                             const SolveOptions& options = {},
+                             const graph::ShapeInfo* shape = nullptr);
 
 }  // namespace reclaim::core

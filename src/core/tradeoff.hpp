@@ -25,7 +25,7 @@ struct TradeoffPoint {
 
 /// Pluggable solver for the tradeoff utilities. Defaults to core::solve;
 /// callers can route through engine::ReclaimEngine so curve samples and
-/// bisection probes reuse its dispatch cache and memo (the curve re-solves
+/// bisection probes reuse its shape cache and memo (the curve re-solves
 /// the same topology at many deadlines).
 using SolveFn = std::function<Solution(
     const Instance&, const model::EnergyModel&, const SolveOptions&)>;

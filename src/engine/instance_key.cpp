@@ -99,14 +99,12 @@ void put_model(std::string& out, const model::EnergyModel& energy_model) {
 }  // namespace
 
 // EngineOptions never enters the key: every field is fixed for the
-// engine's lifetime, so one memo never sees two settings of any of them.
-// That alone is why chain_dp, which does change answers, may stay out.
+// engine's lifetime, so one memo never sees two settings of any of them,
+// and none of them changes an answer.
 // key-exempt(threads): scheduling only; solutions are thread-count invariant
 // key-exempt(memoize): controls the cache itself, not what is cached
 // key-exempt(memo_capacity): cache sizing, never the cached value
 // key-exempt(memo_bytes): cache sizing, never the cached value
-// key-exempt(chain_dp): changes answers (the chain DP and CONT-ROUND differ),
-//   but one engine has one fixed setting for its whole memo lifetime
 // key-exempt(use_kernels): kernel-path solves bypass the memo entirely
 
 std::string topology_key(const graph::Digraph& g) {

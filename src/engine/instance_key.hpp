@@ -3,7 +3,7 @@
 // Two granularities:
 //   - topology_key: node count + edge list only. Two instances share it
 //     exactly when their execution graphs have identical node ids and
-//     edges, which is what the per-structure dispatch cache needs (the
+//     edges, which is what the per-structure shape cache needs (the
 //     classification ignores weights, deadlines and models).
 //   - instance_key: topology + weights + deadline + the full platform
 //     (every processor's power model — kind, alpha, p_static, and the

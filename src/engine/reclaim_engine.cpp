@@ -7,14 +7,8 @@
 #include <utility>
 
 #include "core/continuous/batch_kernels.hpp"
-#include "core/continuous/dispatch.hpp"
 #include "core/continuous/joint_sleep.hpp"
 #include "core/continuous/race_to_idle.hpp"
-#include "core/continuous/sleep_dp.hpp"
-#include "core/discrete/chain_dp.hpp"
-#include "core/discrete/exact_bb.hpp"
-#include "core/discrete/round_up.hpp"
-#include "core/vdd/lp_solver.hpp"
 #include "engine/instance_key.hpp"
 #include "util/annotated_mutex.hpp"
 #include "util/arena.hpp"
@@ -57,21 +51,15 @@ ReclaimEngine::ShapeEntry ReclaimEngine::shape_of(const graph::Digraph& g) {
       return it->second;
     }
   }
-  ShapeEntry entry{graph::classify(g), nullptr, nullptr};
-  if (entry.shape == graph::GraphShape::kSeriesParallel) {
-    // Decompose once at cache-fill time; every later solve of this
-    // topology reuses the tree via ContinuousOptions::sp_hint, and the
-    // flattened composition plan feeds the batched SP kernel.
-    if (auto tree = graph::sp_decompose(g)) {
-      entry.sp_tree = std::make_shared<const graph::SpTree>(std::move(*tree));
-      entry.comp = core::build_sp_plan(entry.sp_tree);
-    }
-  } else if (entry.shape == graph::GraphShape::kOutTree ||
-             entry.shape == graph::GraphShape::kInTree) {
-    // Flatten the topological order / adjacency once per topology so tree
-    // kernel runs of a cached shape skip the re-walk entirely.
-    entry.comp =
-        core::build_tree_plan(g, entry.shape == graph::GraphShape::kInTree);
+  ShapeEntry entry{graph::analyze(g), nullptr};
+  // Flatten the composition plan once per topology so tree/SP kernel runs
+  // of a cached shape skip the re-walk entirely.
+  if (entry.info.shape == graph::GraphShape::kSeriesParallel) {
+    entry.comp = core::build_sp_plan(entry.info.sp_tree);
+  } else if (entry.info.shape == graph::GraphShape::kOutTree ||
+             entry.info.shape == graph::GraphShape::kInTree) {
+    entry.comp = core::build_tree_plan(
+        g, entry.info.shape == graph::GraphShape::kInTree);
   }
   const util::WriteLock lock(shape_mutex_);
   // Two workers may race to fill the same key; both classified the same
@@ -79,80 +67,24 @@ ReclaimEngine::ShapeEntry ReclaimEngine::shape_of(const graph::Digraph& g) {
   return shapes_.emplace(key, std::move(entry)).first->second;
 }
 
-core::Solution ReclaimEngine::dispatch(const core::Instance& instance,
-                                       const model::EnergyModel& model,
-                                       const core::SolveOptions& options) {
-  // The Vdd LP is shape-independent; skip the structural analysis.
-  if (const auto* vdd = std::get_if<model::VddHoppingModel>(&model)) {
-    return core::solve_vdd_lp(instance, *vdd).solution;
-  }
-
-  const ShapeEntry entry = shape_of(instance.exec_graph);
-  const graph::GraphShape shape = entry.shape;
-
-  const auto solve_modes = [&](const model::ModeSet& modes) -> core::Solution {
-    const std::size_t n = instance.exec_graph.num_nodes();
-    if (n <= options.exact_discrete_up_to) {
-      return core::solve_discrete_exact(instance, modes).solution;
-    }
-    // exact_discrete_up_to == 0 means "force CONT-ROUND" (callers
-    // validating Theorem 5 rely on it), so it disables the DP route too.
-    if (options_.chain_dp && options.exact_discrete_up_to > 0 &&
-        (shape == graph::GraphShape::kChain ||
-         shape == graph::GraphShape::kSingleTask)) {
-      return core::solve_chain_dp(instance, modes).solution;
-    }
-    core::RoundUpOptions round_options;
-    round_options.continuous_rel_gap = options.rel_gap;
-    return core::solve_round_up(instance, modes, round_options).solution;
-  };
-
-  return std::visit(
-      [&](const auto& m) -> core::Solution {
-        using M = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<M, model::ContinuousModel>) {
-          if (options.sleep_mode == core::SleepMode::kDp &&
-              instance.platform.has_sleep()) {
-            // The exact single-processor oracle; throws off its
-            // eligibility domain, exactly like the un-cached core route.
-            return core::solve_sleep_dp(instance, m).solution;
-          }
-          core::ContinuousOptions continuous_options;
-          continuous_options.rel_gap = options.rel_gap;
-          continuous_options.s_min = options.continuous_s_min;
-          continuous_options.leakage = options.leakage;
-          continuous_options.shape_hint = shape;
-          continuous_options.sp_hint = entry.sp_tree;
-          return core::solve_continuous(instance, m, continuous_options);
-        } else if constexpr (std::is_same_v<M, model::VddHoppingModel>) {
-          return core::solve_vdd_lp(instance, m).solution;  // unreachable
-        } else if constexpr (std::is_same_v<M, model::DiscreteModel>) {
-          return solve_modes(m.modes);
-        } else {
-          static_assert(std::is_same_v<M, model::IncrementalModel>);
-          return solve_modes(m.modes);
-        }
-      },
-      model);
-}
-
-core::Solution ReclaimEngine::solve_routed(const core::Instance& instance,
-                                           const model::EnergyModel& model,
-                                           const core::SolveOptions& options) {
+template <class KeyFn, class SolveFn>
+core::Solution ReclaimEngine::memoized(const core::Instance& instance,
+                                       const KeyFn& key_of,
+                                       const SolveFn& solve) {
   instances_.fetch_add(1, std::memory_order_relaxed);
   util::require(instance.deadline > 0.0,
                 "ReclaimEngine: instance deadline must be positive");
 
   std::string key;
   if (options_.memoize) {
-    key = instance_key(instance, model, options);
+    key = key_of();
     if (auto cached = memo_.get(key)) {
       memo_hits_.fetch_add(1, std::memory_order_relaxed);
       return *std::move(cached);
     }
   }
 
-  core::Solution solution = dispatch(instance, model, options);
+  core::Solution solution = solve();
   fresh_solves_.fetch_add(1, std::memory_order_relaxed);
 
   if (options_.memoize) {
@@ -162,6 +94,22 @@ core::Solution ReclaimEngine::solve_routed(const core::Instance& instance,
     memo_.put(key, solution);
   }
   return solution;
+}
+
+core::Solution ReclaimEngine::solve_routed(const core::Instance& instance,
+                                           const model::EnergyModel& model,
+                                           const core::SolveOptions& options) {
+  return memoized(
+      instance, [&] { return instance_key(instance, model, options); },
+      [&] {
+        // The Vdd LP ignores shape: skip analyzing (and caching) the
+        // topology.
+        if (std::holds_alternative<model::VddHoppingModel>(model)) {
+          return core::solve(instance, model, options);
+        }
+        const ShapeEntry entry = shape_of(instance.exec_graph);
+        return core::solve(instance, model, options, &entry.info);
+      });
 }
 
 core::Solution ReclaimEngine::solve_mapped(const MappedInstance& mapped,
@@ -177,51 +125,33 @@ core::Solution ReclaimEngine::solve_mapped(const MappedInstance& mapped,
     return solve_routed(mapped.instance, model, options);
   }
 
-  instances_.fetch_add(1, std::memory_order_relaxed);
-  util::require(mapped.instance.deadline > 0.0,
-                "ReclaimEngine: instance deadline must be positive");
+  const auto key_of = [&] {
+    return mapped_instance_key(mapped.instance, mapped.mapping, model, options);
+  };
+  return memoized(mapped.instance, key_of, [&] {
+    core::RaceToIdleOptions race;
+    race.continuous.rel_gap = options.rel_gap;
+    race.continuous.s_min = options.continuous_s_min;
+    race.continuous.leakage = options.leakage;
+    race.continuous.shape = shape_of(mapped.instance.exec_graph).info;
 
-  std::string key;
-  if (options_.memoize) {
-    key = mapped_instance_key(mapped.instance, mapped.mapping, model, options);
-    if (auto cached = memo_.get(key)) {
-      memo_hits_.fetch_add(1, std::memory_order_relaxed);
-      return *std::move(cached);
+    if (options.sleep_mode == core::SleepMode::kJoint) {
+      core::JointSleepOptions joint;
+      joint.race = race;
+      const core::JointSleepResult result = core::solve_joint_sleep(
+          mapped.instance, *continuous, mapped.mapping, joint);
+      joint_solves_.fetch_add(1, std::memory_order_relaxed);
+      if (result.improved) {
+        joint_improved_.fetch_add(1, std::memory_order_relaxed);
+      }
+      return result.solution;
     }
-  }
-
-  core::RaceToIdleOptions race;
-  race.continuous.rel_gap = options.rel_gap;
-  race.continuous.s_min = options.continuous_s_min;
-  race.continuous.leakage = options.leakage;
-  const ShapeEntry entry = shape_of(mapped.instance.exec_graph);
-  race.continuous.shape_hint = entry.shape;
-  race.continuous.sp_hint = entry.sp_tree;
-
-  core::Solution solution;
-  if (options.sleep_mode == core::SleepMode::kJoint) {
-    core::JointSleepOptions joint;
-    joint.race = race;
-    const core::JointSleepResult result = core::solve_joint_sleep(
-        mapped.instance, *continuous, mapped.mapping, joint);
-    joint_solves_.fetch_add(1, std::memory_order_relaxed);
-    if (result.improved) {
-      joint_improved_.fetch_add(1, std::memory_order_relaxed);
-    }
-    solution = result.solution;
-  } else {
     const core::RaceToIdleResult result = core::solve_race_to_idle(
         mapped.instance, *continuous, mapped.mapping, race);
     (result.raced ? raced_solves_ : crawl_solves_)
         .fetch_add(1, std::memory_order_relaxed);
-    solution = result.solution;
-  }
-  fresh_solves_.fetch_add(1, std::memory_order_relaxed);
-
-  if (options_.memoize) {
-    memo_.put(key, solution);
-  }
-  return solution;
+    return result.solution;
+  });
 }
 
 std::vector<core::Solution> ReclaimEngine::run_batch(
@@ -277,6 +207,31 @@ std::vector<core::Solution> ReclaimEngine::kernel_batch(
     const std::function<bool(std::size_t)>& kernel_ok,
     const model::EnergyModel& model, const core::SolveOptions& options,
     const std::function<core::Solution(std::size_t)>& solve_scalar) {
+  // Solves one planned kernel segment [lo, hi) (ptrs holds its instances)
+  // in a single pass, bypassing per-instance dispatch and the memo (the
+  // kernel is cheaper than a memo probe). An instance the kernel hands back
+  // (floor violation, or a cap overrun it will not adjudicate) is re-solved
+  // through the scalar path, which does its own accounting.
+  const auto solve_segment = [&](const core::KernelPlan& plan,
+                                 const core::Instance* const* ptrs,
+                                 std::size_t lo, std::size_t hi,
+                                 core::Solution* out) {
+    core::solve_kernel_run(plan, ptrs, hi - lo, out + lo);
+    std::size_t solved = 0;
+    for (std::size_t k = lo; k < hi; ++k) {
+      if (out[k].method.empty()) {
+        out[k] = solve_scalar(k);
+      } else {
+        ++solved;
+      }
+    }
+    instances_.fetch_add(solved, std::memory_order_relaxed);
+    fresh_solves_.fetch_add(solved, std::memory_order_relaxed);
+    kernel_solves_.fetch_add(solved, std::memory_order_relaxed);
+    kernel_family_[static_cast<std::size_t>(plan.family)].fetch_add(
+        solved, std::memory_order_relaxed);
+  };
+
   // Single-threaded engines take a fused discover/plan/solve pass: each
   // run is kernel-solved right after its compatibility scan, while the
   // instances are still cache-hot — a 20k-instance sweep streams the
@@ -306,28 +261,13 @@ std::vector<core::Solution> ReclaimEngine::kernel_batch(
       std::optional<core::KernelPlan> plan;
       if (j - i >= kKernelMinRun) {
         const ShapeEntry entry = shape_of(head.exec_graph);
-        plan = core::plan_kernel(head, model, options,
-                                 {entry.shape, entry.sp_tree, entry.comp});
+        plan = core::plan_kernel(head, model, options, {entry.info, entry.comp});
       }
-      if (!plan) {
+      if (plan) {
+        solve_segment(*plan, ptrs.data(), i, j, out.data());
+      } else {
         for (std::size_t k = i; k < j; ++k) out[k] = solve_scalar(k);
-        i = j;
-        continue;
       }
-      core::solve_kernel_run(*plan, ptrs.data(), j - i, out.data() + i);
-      std::size_t solved = 0;
-      for (std::size_t k = i; k < j; ++k) {
-        if (out[k].method.empty()) {
-          out[k] = solve_scalar(k);
-        } else {
-          ++solved;
-        }
-      }
-      instances_.fetch_add(solved, std::memory_order_relaxed);
-      fresh_solves_.fetch_add(solved, std::memory_order_relaxed);
-      kernel_solves_.fetch_add(solved, std::memory_order_relaxed);
-      kernel_family_[static_cast<std::size_t>(plan->family)].fetch_add(
-          solved, std::memory_order_relaxed);
       i = j;
     }
     return out;
@@ -366,10 +306,10 @@ std::vector<core::Solution> ReclaimEngine::kernel_batch(
   const auto plan_run = [&](std::size_t r) {
     const core::Instance& head = instance_at(runs[r].begin);
     const ShapeEntry entry = shape_of(head.exec_graph);
-    run_plans[r] = core::plan_kernel(head, model, options,
-                                     {entry.shape, entry.sp_tree, entry.comp});
+    run_plans[r] =
+        core::plan_kernel(head, model, options, {entry.info, entry.comp});
   };
-  if (pool_ && runs.size() > 1) {
+  if (runs.size() > 1) {
     std::exception_ptr plan_error;
     util::Mutex plan_error_mutex;
     std::vector<std::future<void>> futures;
@@ -423,32 +363,13 @@ std::vector<core::Solution> ReclaimEngine::kernel_batch(
         ++k;
         continue;
       }
-      // Contiguous segment of one planned run inside this chunk: solve it
-      // in a single kernel pass, bypassing per-instance dispatch and the
-      // memo (the kernel is cheaper than a memo probe).
+      // Contiguous segment of one planned run inside this chunk.
       std::size_t seg_end = k;
       while (seg_end < hi && plan_of[seg_end] == tag) {
         ptrs[seg_end - k] = &instance_at(seg_end);
         ++seg_end;
       }
-      const core::KernelPlan& plan = plans[tag - 1];
-      core::solve_kernel_run(plan, ptrs.data(), seg_end - k, out + k);
-      std::size_t solved = 0;
-      for (std::size_t s = k; s < seg_end; ++s) {
-        if (out[s].method.empty()) {
-          // Kernel handed the instance back (floor violation or a cap
-          // overrun it will not adjudicate): re-solve through the scalar
-          // path, which does its own accounting.
-          out[s] = solve_scalar(s);
-        } else {
-          ++solved;
-        }
-      }
-      instances_.fetch_add(solved, std::memory_order_relaxed);
-      fresh_solves_.fetch_add(solved, std::memory_order_relaxed);
-      kernel_solves_.fetch_add(solved, std::memory_order_relaxed);
-      kernel_family_[static_cast<std::size_t>(plan.family)].fetch_add(
-          solved, std::memory_order_relaxed);
+      solve_segment(plans[tag - 1], ptrs.data(), k, seg_end, out);
       k = seg_end;
     }
   });
@@ -460,17 +381,11 @@ std::vector<core::Solution> ReclaimEngine::solve_batch(
   const auto solve_scalar = [&](std::size_t i) {
     return solve_routed(instances[i], model, options);
   };
-  if (!options_.use_kernels) {
-    return run_batch(
-        instances.size(),
-        [&](std::size_t lo, std::size_t hi, core::Solution* out) {
-          for (std::size_t i = lo; i < hi; ++i) out[i] = solve_scalar(i);
-        });
-  }
   return kernel_batch(
       instances.size(),
       [&](std::size_t i) -> const core::Instance& { return instances[i]; },
-      [](std::size_t) { return true; }, model, options, solve_scalar);
+      [&](std::size_t) { return options_.use_kernels; }, model, options,
+      solve_scalar);
 }
 
 std::vector<core::Solution> ReclaimEngine::solve_batch(
@@ -479,13 +394,6 @@ std::vector<core::Solution> ReclaimEngine::solve_batch(
   const auto solve_scalar = [&](std::size_t i) {
     return solve_mapped(instances[i], model, options);
   };
-  if (!options_.use_kernels) {
-    return run_batch(
-        instances.size(),
-        [&](std::size_t lo, std::size_t hi, core::Solution* out) {
-          for (std::size_t i = lo; i < hi; ++i) out[i] = solve_scalar(i);
-        });
-  }
   return kernel_batch(
       instances.size(),
       [&](std::size_t i) -> const core::Instance& {
@@ -494,7 +402,8 @@ std::vector<core::Solution> ReclaimEngine::solve_batch(
       [&](std::size_t i) {
         // Sleep-enabled platforms take the race-to-idle route, which the
         // kernels do not model; everything else shares the plain route.
-        return !instances[i].instance.platform.has_sleep();
+        return options_.use_kernels &&
+               !instances[i].instance.platform.has_sleep();
       },
       model, options, solve_scalar);
 }

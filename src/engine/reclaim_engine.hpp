@@ -2,17 +2,21 @@
 //
 // The paper's experiments — and any production deployment — solve large
 // sweeps of independent MinEnergy instances, not one instance at a time.
-// The engine turns core::solve() into a high-throughput batch service:
+// The engine turns core::solve() into a high-throughput batch service. It
+// is caches and kernels around core::solve, never a second dispatcher:
+// every scalar solve is core::solve (or, on mapped sleep-enabled
+// instances, the race/joint refiners) under the same options.
 //
 //   - solve_batch() shards a span of instances across a ThreadPool using
 //     dynamic (work-stealing-friendly) chunking: workers pull small index
 //     chunks from a shared atomic cursor, so skewed instances (one huge
 //     general DAG among many chains) cannot strand a thread.
-//   - A per-structure dispatch cache classifies each distinct topology
-//     once (graph::classify) and routes chains, trees and series-parallel
-//     graphs straight to their closed-form/DP solvers via
-//     ContinuousOptions::shape_hint, skipping re-classification for
-//     repeated shapes.
+//   - A per-structure shape cache runs graph::analyze once per distinct
+//     topology and hands the cached graph::ShapeInfo to core::solve, so
+//     repeated shapes skip the classification and the SP decomposition.
+//   - Runs of closed-form instances that share a topology and power model
+//     are solved by the batched kernels (core/continuous/batch_kernels),
+//     bit-identically to core::solve.
 //   - A solution memo keyed by a canonical instance encoding
 //     (engine/instance_key.hpp) returns identical sub-instances of a sweep
 //     without re-solving; memoized results are bit-identical to fresh ones
@@ -41,7 +45,6 @@
 #include "core/solve.hpp"
 #include "engine/solution_cache.hpp"
 #include "graph/classify.hpp"
-#include "graph/sp_tree.hpp"
 #include "model/energy_model.hpp"
 #include "sched/mapping.hpp"
 #include "util/annotated_mutex.hpp"
@@ -69,9 +72,6 @@ struct EngineOptions {
   /// cold end alongside the entry cap — the knob a daemon sets
   /// (reclaim_serve --memo-mb) to bound resident memory.
   std::size_t memo_bytes = 0;
-  /// Route Discrete/Incremental chains too large for branch-and-bound to
-  /// the pseudo-polynomial chain DP instead of CONT-ROUND.
-  bool chain_dp = true;
   /// Detect homogeneous closed-form runs inside solve_batch (>=
   /// kKernelMinRun consecutive instances sharing topology, power model
   /// and cap) and solve them through the structure-of-arrays kernels
@@ -122,7 +122,7 @@ struct EngineStats {
   std::size_t memo_bytes = 0;
   std::size_t memo_evictions = 0;
   double memo_oldest_age_s = 0.0;
-  /// Cached topology classifications (the shape/dispatch cache).
+  /// Cached topology analyses (the shape cache).
   std::size_t shape_entries = 0;
 };
 
@@ -190,19 +190,17 @@ class ReclaimEngine {
 
   [[nodiscard]] EngineStats stats() const;
 
-  /// Drops the memo and dispatch caches and resets the counters.
+  /// Drops the memo and shape caches and resets the counters.
   void clear_caches();
 
  private:
-  /// Cached structural analysis of one topology: the classification plus,
-  /// for series-parallel graphs, the decomposition tree (so repeated SP
-  /// shapes skip the decomposition, their dominant structural cost), the
-  /// flattened composition plan for tree/SP shapes (shared with the
-  /// batched kernels so neither the scalar nor the kernel path re-walks
-  /// the topology).
+  /// Cached structural analysis of one topology: graph::analyze (shape
+  /// and, for series-parallel graphs, the decomposition tree — one
+  /// decomposition per topology), plus the flattened composition plan for
+  /// tree/SP shapes (shared with the batched kernels so neither the scalar
+  /// nor the kernel path re-walks the topology).
   struct ShapeEntry {
-    graph::GraphShape shape = graph::GraphShape::kGeneral;
-    std::shared_ptr<const graph::SpTree> sp_tree;
+    graph::ShapeInfo info;
     std::shared_ptr<const core::CompositionPlan> comp;
   };
 
@@ -212,9 +210,12 @@ class ReclaimEngine {
   core::Solution solve_mapped(const MappedInstance& instance,
                               const model::EnergyModel& model,
                               const core::SolveOptions& options);
-  core::Solution dispatch(const core::Instance& instance,
-                          const model::EnergyModel& model,
-                          const core::SolveOptions& options);
+  /// The memoized scalar solve shared by both routes: counts the instance,
+  /// checks its deadline, and returns the memo's answer for key_of() or
+  /// else solve()'s, which it stores.
+  template <class KeyFn, class SolveFn>
+  core::Solution memoized(const core::Instance& instance, const KeyFn& key_of,
+                          const SolveFn& solve);
   ShapeEntry shape_of(const graph::Digraph& g);
   /// Shared dynamic-chunking drain loop of both solve_batch overloads:
   /// solve_range(lo, hi, out) fills out[lo..hi) (out points at the full

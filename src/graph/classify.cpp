@@ -1,6 +1,7 @@
 #include "graph/classify.hpp"
 
-#include "graph/sp_tree.hpp"
+#include <utility>
+
 #include "graph/topo.hpp"
 #include "util/error.hpp"
 
@@ -59,17 +60,22 @@ bool is_out_tree(const Digraph& g) {
 
 bool is_in_tree(const Digraph& g) { return is_out_tree(g.reversed()); }
 
-GraphShape classify(const Digraph& g) {
+ShapeInfo analyze(const Digraph& g) {
   util::require(is_acyclic(g), "classify requires a DAG");
-  if (g.num_nodes() == 0) return GraphShape::kEmpty;
-  if (g.num_nodes() == 1) return GraphShape::kSingleTask;
-  if (is_chain(g)) return GraphShape::kChain;
-  if (is_fork(g)) return GraphShape::kFork;
-  if (is_join(g)) return GraphShape::kJoin;
-  if (is_out_tree(g)) return GraphShape::kOutTree;
-  if (is_in_tree(g)) return GraphShape::kInTree;
-  if (sp_decompose(g).has_value()) return GraphShape::kSeriesParallel;
-  return GraphShape::kGeneral;
+  if (g.num_nodes() == 0) return {GraphShape::kEmpty, nullptr};
+  if (g.num_nodes() == 1) return {GraphShape::kSingleTask, nullptr};
+  if (is_chain(g)) return {GraphShape::kChain, nullptr};
+  if (is_fork(g)) return {GraphShape::kFork, nullptr};
+  if (is_join(g)) return {GraphShape::kJoin, nullptr};
+  if (is_out_tree(g)) return {GraphShape::kOutTree, nullptr};
+  if (is_in_tree(g)) return {GraphShape::kInTree, nullptr};
+  if (auto tree = sp_decompose(g)) {
+    return {GraphShape::kSeriesParallel,
+            std::make_shared<const SpTree>(std::move(*tree))};
+  }
+  return {GraphShape::kGeneral, nullptr};
 }
+
+GraphShape classify(const Digraph& g) { return analyze(g).shape; }
 
 }  // namespace reclaim::graph

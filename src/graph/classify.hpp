@@ -2,14 +2,17 @@
 //
 // The paper's complexity results are keyed to graph families: closed forms
 // for forks/joins (Thm 1), polynomial algorithms for trees and
-// series-parallel graphs (Thm 2), geometric programming in general. The
-// continuous-model dispatcher uses this classification to pick the
-// strongest applicable solver.
+// series-parallel graphs (Thm 2), geometric programming in general.
+// analyze() is the one place that decides a graph's family: core::solve,
+// the continuous dispatcher, the batched-kernel planner and the engine's
+// shape cache all route on its answer.
 #pragma once
 
+#include <memory>
 #include <string_view>
 
 #include "graph/digraph.hpp"
+#include "graph/sp_tree.hpp"
 
 namespace reclaim::graph {
 
@@ -42,10 +45,22 @@ enum class GraphShape {
 /// Rooted tree with edges oriented towards the root.
 [[nodiscard]] bool is_in_tree(const Digraph& g);
 
+/// Structural analysis of one topology: its shape plus, for
+/// series-parallel graphs, the decomposition the SP solver consumes (so
+/// the SP check and the decomposition run once).
+struct ShapeInfo {
+  GraphShape shape = GraphShape::kGeneral;
+  /// Non-null exactly when shape == kSeriesParallel.
+  std::shared_ptr<const SpTree> sp_tree;
+};
+
 /// Most specific shape for `g` (requires a DAG). The order of checks is
 /// SingleTask, Chain, Fork, Join, OutTree, InTree, SeriesParallel, General,
 /// so e.g. a chain — which is also a fork degenerate and a tree — reports
 /// kChain.
+[[nodiscard]] ShapeInfo analyze(const Digraph& g);
+
+/// analyze(g).shape.
 [[nodiscard]] GraphShape classify(const Digraph& g);
 
 }  // namespace reclaim::graph

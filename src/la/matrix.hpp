@@ -1,8 +1,8 @@
 // Dense row-major matrix and BLAS-2 style products.
 //
-// The dense toolkit is small: the simplex tableau, a reference Cholesky
-// (the oracle the sparse factorization is tested against) and pivoted LU
-// for general systems. Everything is self-contained (no external BLAS).
+// The dense toolkit is small: the simplex tableau and a reference Cholesky
+// (the oracle the sparse factorization is tested against). Everything is
+// self-contained (no external BLAS).
 #pragma once
 
 #include <cstddef>

@@ -206,20 +206,37 @@ TEST(ReclaimEngine, MemoDistinguishesPowerModels) {
 }
 
 TEST(ReclaimEngine, MatchesSingleShotSolve) {
-  const auto instances = mixed_instances(11);
-  re::EngineOptions engine_options;
-  engine_options.threads = 2;
-  engine_options.chain_dp = false;  // exact parity with core::solve routing
-  re::ReclaimEngine engine(engine_options);
+  // The mixed families plus a 16-task chain, too long for branch-and-bound:
+  // under Discrete and Incremental every route must take the chain DP.
+  auto instances = mixed_instances(11);
+  reclaim::util::Rng rng(7);
+  auto chain = rg::make_chain(16, rng);
+  const double deadline = 1.4 * rc::min_deadline(chain, 2.0);
+  instances.push_back(rc::make_instance(std::move(chain), deadline));
+  const rc::Instance& long_chain = instances.back();
 
   const std::vector<rm::EnergyModel> models = {
       rm::ContinuousModel{2.0},
-      rm::DiscreteModel{rm::ModeSet({0.5, 1.0, 1.5, 2.0})}};
-  for (const auto& model : models) {
-    const auto batch = engine.solve_batch(instances, model);
-    ASSERT_EQ(batch.size(), instances.size());
-    for (std::size_t i = 0; i < instances.size(); ++i) {
-      expect_identical(batch[i], rc::solve(instances[i], model));
+      rm::DiscreteModel{rm::ModeSet({0.5, 1.0, 1.5, 2.0})},
+      rm::DiscreteModel{rm::ModeSet({0.6, 1.2, 2.0})},
+      rm::IncrementalModel{0.6, 2.0, 0.7}};
+  for (const std::size_t threads : {1, 4}) {
+    re::EngineOptions engine_options;
+    engine_options.threads = threads;
+    re::ReclaimEngine batch_engine(engine_options);
+    re::ReclaimEngine single_engine(engine_options);
+    for (const auto& model : models) {
+      const auto batch = batch_engine.solve_batch(instances, model);
+      ASSERT_EQ(batch.size(), instances.size());
+      for (std::size_t i = 0; i < instances.size(); ++i) {
+        const rc::Solution reference = rc::solve(instances[i], model);
+        expect_identical(batch[i], reference);
+        expect_identical(single_engine.solve_one(instances[i], model),
+                         reference);
+      }
+      if (!std::holds_alternative<rm::ContinuousModel>(model)) {
+        EXPECT_EQ(rc::solve(long_chain, model).method, "chain-dp");
+      }
     }
   }
 }

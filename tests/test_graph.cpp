@@ -27,6 +27,17 @@ void expect_valid_topo(const rg::Digraph& g) {
   for (const auto& e : g.edges()) EXPECT_LT(pos[e.from], pos[e.to]);
 }
 
+/// Returns classify(g), checking that analyze(g) agrees with it: the same
+/// shape, and a decomposition exactly when the shape is series-parallel.
+rg::GraphShape classify_checked(const rg::Digraph& g) {
+  const rg::ShapeInfo info = rg::analyze(g);
+  const rg::GraphShape shape = rg::classify(g);
+  EXPECT_EQ(info.shape, shape);
+  EXPECT_EQ(info.sp_tree != nullptr,
+            shape == rg::GraphShape::kSeriesParallel);
+  return shape;
+}
+
 }  // namespace
 
 TEST(Digraph, AddNodesAndEdges) {
@@ -150,13 +161,20 @@ TEST(Topo, WeakConnectivity) {
 
 TEST(Classify, RecognizesBasicShapes) {
   Rng rng(1);
-  EXPECT_EQ(rg::classify(rg::make_chain(5, rng)), rg::GraphShape::kChain);
-  EXPECT_EQ(rg::classify(rg::make_fork(4, rng)), rg::GraphShape::kFork);
-  EXPECT_EQ(rg::classify(rg::make_join(4, rng)), rg::GraphShape::kJoin);
+  EXPECT_EQ(classify_checked(rg::make_chain(5, rng)), rg::GraphShape::kChain);
+  EXPECT_EQ(classify_checked(rg::make_fork(4, rng)), rg::GraphShape::kFork);
+  EXPECT_EQ(classify_checked(rg::make_join(4, rng)), rg::GraphShape::kJoin);
   rg::Digraph single;
   single.add_node(1.0);
-  EXPECT_EQ(rg::classify(single), rg::GraphShape::kSingleTask);
-  EXPECT_EQ(rg::classify(rg::Digraph{}), rg::GraphShape::kEmpty);
+  EXPECT_EQ(classify_checked(single), rg::GraphShape::kSingleTask);
+  EXPECT_EQ(classify_checked(rg::Digraph{}), rg::GraphShape::kEmpty);
+  rg::Digraph cycle;
+  cycle.add_node(1.0);
+  cycle.add_node(1.0);
+  cycle.add_edge(0, 1);
+  cycle.add_edge(1, 0);
+  EXPECT_THROW((void)rg::classify(cycle), reclaim::InvalidArgument);
+  EXPECT_THROW((void)rg::analyze(cycle), reclaim::InvalidArgument);
 }
 
 TEST(Classify, TreesAndSp) {
@@ -164,17 +182,17 @@ TEST(Classify, TreesAndSp) {
   const auto out_tree = rg::make_random_out_tree(20, rng);
   EXPECT_TRUE(rg::is_out_tree(out_tree));
   // A 20-node random tree is exceedingly unlikely to be a chain/fork.
-  EXPECT_EQ(rg::classify(out_tree), rg::GraphShape::kOutTree);
+  EXPECT_EQ(classify_checked(out_tree), rg::GraphShape::kOutTree);
   const auto in_tree = rg::make_random_in_tree(20, rng);
-  EXPECT_EQ(rg::classify(in_tree), rg::GraphShape::kInTree);
+  EXPECT_EQ(classify_checked(in_tree), rg::GraphShape::kInTree);
   const auto diamond = rg::make_diamond(3, rng);
-  EXPECT_EQ(rg::classify(diamond), rg::GraphShape::kSeriesParallel);
+  EXPECT_EQ(classify_checked(diamond), rg::GraphShape::kSeriesParallel);
 }
 
 TEST(Classify, StencilIsGeneral) {
   Rng rng(3);
   const auto stencil = rg::make_stencil(3, 3, rng);
-  EXPECT_EQ(rg::classify(stencil), rg::GraphShape::kGeneral);
+  EXPECT_EQ(classify_checked(stencil), rg::GraphShape::kGeneral);
 }
 
 TEST(Classify, ToStringCoversShapes) {

@@ -1,4 +1,4 @@
-// Unit tests for la/: dense matrix ops, Cholesky, LU, sparse Cholesky.
+// Unit tests for la/: dense matrix ops, Cholesky, sparse Cholesky.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "la/cholesky.hpp"
-#include "la/lu.hpp"
 #include "la/matrix.hpp"
 #include "la/sparse_cholesky.hpp"
 #include "util/error.hpp"
@@ -135,52 +134,6 @@ TEST(Cholesky, LogDetMatchesKnown) {
   a(1, 0) = 0.0; a(1, 1) = 9.0;
   const la::Cholesky chol(a);
   EXPECT_NEAR(chol.log_det(), std::log(36.0), 1e-12);
-}
-
-TEST(Lu, SolvesKnownSystem) {
-  la::Matrix a(3, 3);
-  a(0, 0) = 0.0; a(0, 1) = 2.0; a(0, 2) = 1.0;  // needs pivoting
-  a(1, 0) = 1.0; a(1, 1) = 1.0; a(1, 2) = 1.0;
-  a(2, 0) = 2.0; a(2, 1) = 0.0; a(2, 2) = 3.0;
-  const la::Lu lu(a);
-  const auto x = lu.solve({5.0, 6.0, 13.0});
-  const auto b = a.multiply(x);
-  EXPECT_NEAR(b[0], 5.0, 1e-10);
-  EXPECT_NEAR(b[1], 6.0, 1e-10);
-  EXPECT_NEAR(b[2], 13.0, 1e-10);
-}
-
-TEST(Lu, RandomSystemsRoundTrip) {
-  reclaim::util::Rng rng(77);
-  for (std::size_t n : {2u, 5u, 20u, 50u}) {
-    const auto a = random_matrix(n, rng);
-    const auto b = random_vector(n, rng);
-    const la::Lu lu(a);
-    const auto x = lu.solve(b);
-    const auto ax = a.multiply(x);
-    for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(ax[i], b[i], 1e-7);
-  }
-}
-
-TEST(Lu, SingularThrows) {
-  la::Matrix a(2, 2);
-  a(0, 0) = 1.0; a(0, 1) = 2.0;
-  a(1, 0) = 2.0; a(1, 1) = 4.0;
-  EXPECT_THROW(la::Lu{a}, reclaim::NumericalError);
-}
-
-TEST(Lu, DeterminantKnownValues) {
-  la::Matrix a(2, 2);
-  a(0, 0) = 3.0; a(0, 1) = 1.0;
-  a(1, 0) = 2.0; a(1, 1) = 4.0;
-  EXPECT_NEAR(la::Lu(a).det(), 10.0, 1e-12);
-}
-
-TEST(Lu, DeterminantSignWithPivoting) {
-  la::Matrix a(2, 2);
-  a(0, 0) = 0.0; a(0, 1) = 1.0;
-  a(1, 0) = 1.0; a(1, 1) = 0.0;  // det = -1
-  EXPECT_NEAR(la::Lu(a).det(), -1.0, 1e-12);
 }
 
 namespace {

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repo-rule linter (CI's rules-check step, next to check_docs.sh). Three
+# Repo-rule linter (CI's rules-check step, next to check_docs.sh). Four
 # rules, each born from a bug class this repo has actually seen or
 # designed against:
 #
@@ -23,6 +23,13 @@
 #      Exact zero tests are legitimate sentinels ("no work on this node");
 #      comparing against any other literal is a tolerance bug. A
 #      deliberate exception carries `// rule-exempt: float-eq` on the line.
+#
+#   4. engine-route: no src/engine/*.cpp includes core/discrete/,
+#      core/vdd/, core/continuous/dispatch.hpp or
+#      core/continuous/sleep_dp.hpp. The engine is caches and kernels
+#      around core::solve; routing to a family's solver lives in
+#      core::solve alone. A second dispatcher in the engine once drifted
+#      from it and answered long discrete chains differently.
 #
 # Usage: tools/check_rules.sh            lint the repo
 #        tools/check_rules.sh --self-test
@@ -153,6 +160,20 @@ rule_float_eq() {
   fi
 }
 
+# --- 4. engine-route ---------------------------------------------------
+rule_engine_route() {
+  local hits
+  hits=$(grep -nE \
+      '#include "core/(discrete/|vdd/|continuous/dispatch\.hpp|continuous/sleep_dp\.hpp)' \
+      "$root"/src/engine/*.cpp 2>/dev/null)
+  if [ -n "$hits" ]; then
+    while IFS= read -r hit; do
+      say_fail "engine-route: $hit (solve through core::solve; the engine" \
+               "must not route to family solvers itself)"
+    done <<< "$hits"
+  fi
+}
+
 # --- self-test ---------------------------------------------------------
 # Each rule must fail on a planted violation; a gate that cannot fire is
 # decoration. Builds a scratch tree from the real sources, injects one
@@ -181,6 +202,9 @@ self_test() {
   # 3. equality against a nonzero float literal
   printf 'bool injected(double x) { return x == 1.5; }\n' \
       > "$scratch/src/core/injected.cpp"
+  # 4. an engine source reaching past core::solve to a family solver
+  printf '#include "core/discrete/chain_dp.hpp"\n' \
+      > "$scratch/src/engine/injected_route.cpp"
 
   local out status
   out=$(RULES_ROOT="$scratch" "$0" 2>&1)
@@ -195,6 +219,8 @@ self_test() {
       || { echo "self-test: stale key-exempt check did not fire"; ok=0; }
   echo "$out" | grep -q 'float-eq: .*injected\.cpp' \
       || { echo "self-test: float-eq rule did not fire"; ok=0; }
+  echo "$out" | grep -q 'engine-route: .*injected_route\.cpp' \
+      || { echo "self-test: engine-route rule did not fire"; ok=0; }
 
   # And the real tree must pass, or the gate blocks every PR.
   if ! RULES_ROOT=. "$0" > /dev/null 2>&1; then
@@ -203,7 +229,7 @@ self_test() {
   fi
 
   if [ "$ok" -eq 1 ]; then
-    echo "rules-check self-test: OK (all 3 rules and the stale-exemption check fire on planted violations)"
+    echo "rules-check self-test: OK (all 4 rules and the stale-exemption check fire on planted violations)"
     exit 0
   fi
   echo "rules-check self-test: FAILED" >&2
@@ -217,6 +243,7 @@ fi
 rule_naked_mutex
 rule_memo_key
 rule_float_eq
+rule_engine_route
 
 if [ "$failures" -gt 0 ]; then
   echo "rules-check: $failures problem(s)" >&2
