@@ -491,6 +491,11 @@ std::optional<KernelPlan> plan_kernel(const Instance& instance,
                                       const KernelPlanHints& hints) {
   const auto* continuous = std::get_if<model::ContinuousModel>(&model);
   if (continuous == nullptr) return std::nullopt;
+  // core::solve sends kDp on a sleep-enabled platform to the sleep-DP
+  // oracle, never to a closed form.
+  if (options.sleep_mode == SleepMode::kDp && instance.platform.has_sleep()) {
+    return std::nullopt;
+  }
   const auto& g = instance.exec_graph;
   const std::size_t n = g.num_nodes();
   if (n == 0 || instance.deadline <= 0.0) return std::nullopt;

@@ -10,7 +10,9 @@
 // *run* once (plan_kernel on the head instance, kernel_run_compatible to
 // extend it) and then solves the whole run in one pass over the
 // instances with no per-instance dispatch, no scratch allocation, and no
-// cache traffic.
+// cache traffic. A run may be a single instance: the engine solves every
+// closed-form memo miss outside a long run as a run of one, which beats
+// the scalar closed forms even with its planning paid per instance.
 //
 // Bit-identity contract: for every instance a kernel solves, the result
 // (feasible flag, energy, speeds, method string, iteration count) is
@@ -29,7 +31,9 @@
 // the scalar path.
 //
 // Eligibility (plan_kernel) mirrors the scalar routing exactly:
-//   - Continuous energy model, positive deadline.
+//   - Continuous energy model, positive deadline, and not the sleep-DP
+//     oracle (SleepMode::kDp on a sleep-enabled platform, which core::solve
+//     sends to solve_sleep_dp).
 //   - Homogeneous tasks (one shared power model and processor cap) for
 //     every family; additionally, *heterogeneous* single-task and chain
 //     instances whose task slots share one dynamic exponent plan as

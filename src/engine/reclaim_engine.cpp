@@ -108,6 +108,25 @@ core::Solution ReclaimEngine::solve_routed(const core::Instance& instance,
           return core::solve(instance, model, options);
         }
         const ShapeEntry entry = shape_of(instance.exec_graph);
+        // A closed-form instance is cheaper as a kernel run of one, plan
+        // included, than through core::solve (docs/architecture.md,
+        // "Batched fast path"); the kernels are bit-identical to it. An
+        // instance the planner rejects or the kernel hands back falls
+        // through to core::solve.
+        if (options_.use_kernels) {
+          if (const auto plan = core::plan_kernel(instance, model, options,
+                                                  {entry.info, entry.comp})) {
+            const core::Instance* const ptr = &instance;
+            core::Solution out;
+            core::solve_kernel_run(*plan, &ptr, 1, &out);
+            if (!out.method.empty()) {
+              kernel_solves_.fetch_add(1, std::memory_order_relaxed);
+              kernel_family_[static_cast<std::size_t>(plan->family)].fetch_add(
+                  1, std::memory_order_relaxed);
+              return out;
+            }
+          }
+        }
         return core::solve(instance, model, options, &entry.info);
       });
 }
@@ -208,10 +227,11 @@ std::vector<core::Solution> ReclaimEngine::kernel_batch(
     const model::EnergyModel& model, const core::SolveOptions& options,
     const std::function<core::Solution(std::size_t)>& solve_scalar) {
   // Solves one planned kernel segment [lo, hi) (ptrs holds its instances)
-  // in a single pass, bypassing per-instance dispatch and the memo (the
-  // kernel is cheaper than a memo probe). An instance the kernel hands back
-  // (floor violation, or a cap overrun it will not adjudicate) is re-solved
-  // through the scalar path, which does its own accounting.
+  // in a single pass, bypassing per-instance dispatch and the memo (a run
+  // this long is a sweep of distinct instances, cheaper to solve than to
+  // probe). An instance the kernel hands back (floor violation, or a cap
+  // overrun it will not adjudicate) is re-solved through the scalar path,
+  // which does its own accounting.
   const auto solve_segment = [&](const core::KernelPlan& plan,
                                  const core::Instance* const* ptrs,
                                  std::size_t lo, std::size_t hi,
@@ -275,8 +295,9 @@ std::vector<core::Solution> ReclaimEngine::kernel_batch(
 
   // Pass 1 (caller thread): discover maximal candidate runs with cheap
   // structural predicates only — topology/model equality, no planning.
-  // Runs shorter than kKernelMinRun stay scalar (planning a tiny run
-  // costs more than it saves).
+  // Only runs of at least kKernelMinRun count as sweeps of distinct
+  // instances; shorter ones go through solve_scalar (memo, then a kernel
+  // run of one).
   struct Run {
     std::size_t begin;
     std::size_t end;

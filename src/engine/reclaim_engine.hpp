@@ -14,9 +14,13 @@
 //   - A per-structure shape cache runs graph::analyze once per distinct
 //     topology and hands the cached graph::ShapeInfo to core::solve, so
 //     repeated shapes skip the classification and the SP decomposition.
-//   - Runs of closed-form instances that share a topology and power model
-//     are solved by the batched kernels (core/continuous/batch_kernels),
-//     bit-identically to core::solve.
+//   - Closed-form instances are solved by the batched kernels
+//     (core/continuous/batch_kernels), bit-identically to core::solve:
+//     a run of >= kKernelMinRun instances sharing a topology and power
+//     model is planned once and solved in one pass, and every other
+//     closed-form memo miss (short batch runs, solve_one, submit) is
+//     solved as a run of one. Instances the kernels reject or hand back
+//     take core::solve.
 //   - A solution memo keyed by a canonical instance encoding
 //     (engine/instance_key.hpp) returns identical sub-instances of a sweep
 //     without re-solving; memoized results are bit-identical to fresh ones
@@ -52,10 +56,10 @@
 
 namespace reclaim::engine {
 
-/// Minimum consecutive compatible instances before solve_batch routes a
-/// run through the batched kernels; shorter runs stay scalar — the plan
-/// amortizes over the run, and tiny runs would pay more in planning than
-/// they save.
+/// Minimum consecutive compatible instances for solve_batch to treat a
+/// run as a sweep of distinct instances: such a run bypasses the memo and
+/// is planned once for the whole run. Shorter runs go instance by
+/// instance through the memo, and each miss is a kernel run of one.
 inline constexpr std::size_t kKernelMinRun = 4;
 
 struct EngineOptions {
@@ -72,13 +76,14 @@ struct EngineOptions {
   /// cold end alongside the entry cap — the knob a daemon sets
   /// (reclaim_serve --memo-mb) to bound resident memory.
   std::size_t memo_bytes = 0;
-  /// Detect homogeneous closed-form runs inside solve_batch (>=
-  /// kKernelMinRun consecutive instances sharing topology, power model
-  /// and cap) and solve them through the structure-of-arrays kernels
-  /// (core/continuous/batch_kernels) instead of per-instance dispatch.
-  /// Results are bit-identical to the scalar path; kernel-path solves
-  /// bypass the memo (they are cheaper than a memo probe) and are
-  /// reported separately via EngineStats::kernel_solves.
+  /// Solve closed-form instances through the structure-of-arrays kernels
+  /// (core/continuous/batch_kernels) instead of core::solve, on every
+  /// route: solve_batch runs of >= kKernelMinRun instances sharing
+  /// topology, power model and cap are planned once and bypass the memo;
+  /// every other closed-form memo miss (short runs, solve_one, submit) is
+  /// a kernel run of one. Results are bit-identical to core::solve and
+  /// are reported via EngineStats::kernel_solves. With false, every solve
+  /// is core::solve (the ablation baseline).
   bool use_kernels = true;
 };
 
@@ -103,9 +108,9 @@ struct EngineStats {
   /// and the subset where it strictly beat the race-to-idle anchor.
   std::size_t joint_solves = 0;
   std::size_t joint_improved = 0;
-  /// Fast-path split of the fresh solves: instances solved by the batched
-  /// closed-form kernels (a subset of fresh_solves; the remainder took
-  /// the scalar dispatch path).
+  /// Fast-path split of the fresh solves: instances solved by the
+  /// closed-form kernels, in long runs or as runs of one (a subset of
+  /// fresh_solves; the remainder took core::solve or a refiner).
   std::size_t kernel_solves = 0;
   /// Per-family split of kernel_solves (which stays the total): which
   /// closed-form kernel solved each fast-path instance. The tree/SP

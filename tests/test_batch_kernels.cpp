@@ -1,12 +1,17 @@
 // Batched fast-path tests: kernel-vs-scalar bit-identity (fuzzed), the
-// kKernelMinRun engagement boundary, arena scratch reuse (no steady-state
-// allocation growth), and the EngineStats counters that split kernel-path
-// from scalar-path solves.
+// kKernelMinRun memo-bypass boundary, the run-of-one route of solve_one,
+// submit and short batch runs, the sleep-DP exclusion, arena scratch reuse
+// (no steady-state allocation growth), and the EngineStats counters that
+// split kernel-path from scalar-path solves.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <exception>
+#include <future>
+#include <limits>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "core/analysis.hpp"
@@ -18,6 +23,8 @@
 #include "graph/generators.hpp"
 #include "model/energy_model.hpp"
 #include "model/platform.hpp"
+#include "model/power_model.hpp"
+#include "sched/mapping.hpp"
 #include "util/arena.hpp"
 #include "util/rng.hpp"
 
@@ -385,16 +392,17 @@ TEST(BatchKernels, RunCompatibilityRequiresSharedTopologyAndModel) {
   EXPECT_FALSE(rc::kernel_run_compatible(a, other_power));
 }
 
-TEST(BatchKernels, ShortRunsStayScalar) {
-  // kKernelMinRun compatible instances amortize the plan and engage the
-  // kernels; one fewer must not. Pinned on both kernel_batch branches:
-  // the fused 1-thread pass and the pooled discover/plan pipeline.
+TEST(BatchKernels, ShortRunsAreKernelSolvedBehindTheMemo) {
+  // A run of kKernelMinRun compatible instances is a sweep of distinct
+  // instances: planned once, kernel-solved, and kept out of the memo. One
+  // fewer goes through the memo instance by instance, and each miss is a
+  // kernel run of one. Pinned on both kernel_batch branches: the fused
+  // 1-thread pass and the pooled discover/plan pipeline.
   const rm::EnergyModel cont = rm::ContinuousModel{2.0};
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
     re::EngineOptions opts;
     opts.threads = threads;
-    opts.memoize = false;
     for (const std::size_t count : {re::kKernelMinRun - 1, re::kKernelMinRun}) {
       SCOPED_TRACE("run of " + std::to_string(count));
       // No squeezed deadlines: a hand-back would hide the boundary.
@@ -404,7 +412,9 @@ TEST(BatchKernels, ShortRunsStayScalar) {
       (void)engine.solve_batch(std::span<const rc::Instance>(sweep), cont, {});
       const auto stats = engine.stats();
       EXPECT_EQ(stats.fresh_solves, count);
-      EXPECT_EQ(stats.kernel_solves, count >= re::kKernelMinRun ? count : 0u);
+      EXPECT_EQ(stats.kernel_solves, count);
+      EXPECT_EQ(stats.memo_entries,
+                count >= re::kKernelMinRun ? 0u : count);
     }
   }
 }
@@ -470,6 +480,217 @@ TEST(BatchKernels, KernelPlannerReusesShapeCache) {
   EXPECT_EQ(stats.kernel_tree, 2 * sweep.size());
   EXPECT_GE(stats.shape_hits, 1u);
   EXPECT_EQ(stats.shape_entries, 1u);
+}
+
+// ------------------------------------------------------ run-of-one route
+
+namespace {
+
+/// One family's inputs for the run-of-one route: the instances (tight
+/// deadlines included, so infeasible and cap-bound answers are covered)
+/// and the options they are solved under (model: ContinuousModel{2.0}).
+struct RouteCase {
+  std::string name;
+  std::vector<rc::Instance> instances;
+  rc::SolveOptions options = {};
+};
+
+std::vector<RouteCase> route_cases() {
+  std::vector<RouteCase> cases;
+  std::uint64_t seed = 301;
+  for (const char* family :
+       {"single", "chain", "fork", "outtree", "intree", "sp"}) {
+    cases.push_back(
+        {family, homogeneous_sweep(seed++, 12, family, rm::PowerLaw(3.0))});
+  }
+  cases.push_back({"hetero-chain", hetero_chain_sweep(seed++, 12)});
+  for (const auto leakage :
+       {rc::LeakageMode::kReduction, rc::LeakageMode::kExact}) {
+    RouteCase leaky{"leaky-chain",
+                    homogeneous_sweep(seed++, 12, "chain",
+                                      rm::StaticPowerLaw(3.0, 0.5))};
+    leaky.options.leakage = leakage;
+    cases.push_back(std::move(leaky));
+  }
+  RouteCase floor{"s_min-floor",
+                  homogeneous_sweep(seed++, 12, "outtree", rm::PowerLaw(3.0))};
+  floor.options.continuous_s_min = 0.9;
+  cases.push_back(std::move(floor));
+  return cases;
+}
+
+/// Alternates the instances with ones of another topology (single tasks,
+/// or chains between single tasks), so every compatible run in the batch
+/// is a run of one.
+std::vector<rc::Instance> interleave_runs_of_one(
+    const std::vector<rc::Instance>& instances) {
+  const bool singles = instances.front().exec_graph.num_nodes() == 1;
+  const auto filler = homogeneous_sweep(409, instances.size(),
+                                        singles ? "chain" : "single",
+                                        rm::PowerLaw(3.0));
+  std::vector<rc::Instance> out;
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    out.push_back(instances[i]);
+    out.push_back(filler[i]);
+  }
+  return out;
+}
+
+rc::Solution submit_and_wait(re::ReclaimEngine& engine,
+                             const rc::Instance& instance,
+                             const rm::EnergyModel& model,
+                             const rc::SolveOptions& options) {
+  std::promise<rc::Solution> promise;
+  auto future = promise.get_future();
+  engine.submit({instance, reclaim::sched::Mapping{1}}, model, options,
+                [&promise](rc::Solution solution, std::exception_ptr error) {
+                  if (error) {
+                    promise.set_exception(error);
+                  } else {
+                    promise.set_value(std::move(solution));
+                  }
+                });
+  return future.get();
+}
+
+}  // namespace
+
+TEST(BatchKernels, RunOfOneRouteMatchesCoreSolve) {
+  // solve_one, submit and a batch of runs of one must answer every
+  // closed-form family exactly as core::solve does, and the kernels must
+  // have taken those solves.
+  const rm::EnergyModel cont = rm::ContinuousModel{2.0};
+  std::size_t infeasible = 0;
+  for (const auto& c : route_cases()) {
+    SCOPED_TRACE(c.name);
+    std::vector<rc::Solution> reference;
+    for (const auto& instance : c.instances) {
+      reference.push_back(rc::solve(instance, cont, c.options));
+      if (!reference.back().feasible) ++infeasible;
+    }
+
+    re::ReclaimEngine one({.threads = 1});
+    re::ReclaimEngine pooled({.threads = 4});
+    for (std::size_t i = 0; i < c.instances.size(); ++i) {
+      SCOPED_TRACE("instance " + std::to_string(i));
+      expect_identical(one.solve_one(c.instances[i], cont, c.options),
+                       reference[i]);
+      expect_identical(
+          submit_and_wait(pooled, c.instances[i], cont, c.options),
+          reference[i]);
+    }
+    EXPECT_GT(one.stats().kernel_solves, 0u);
+    EXPECT_GT(pooled.stats().kernel_solves, 0u);
+
+    const auto batch = interleave_runs_of_one(c.instances);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE("batch threads " + std::to_string(threads));
+      re::ReclaimEngine engine({.threads = threads});
+      const auto out = engine.solve_batch(batch, cont, c.options);
+      ASSERT_EQ(out.size(), batch.size());
+      for (std::size_t i = 0; i < c.instances.size(); ++i) {
+        SCOPED_TRACE("instance " + std::to_string(i));
+        expect_identical(out[2 * i], reference[i]);
+      }
+      const auto stats = engine.stats();
+      EXPECT_GT(stats.kernel_solves, c.instances.size());
+      // Runs of one stay behind the memo: every distinct answer is kept.
+      EXPECT_EQ(stats.memo_entries, batch.size());
+    }
+  }
+  // The squeezed deadlines put infeasible instances among the inputs.
+  EXPECT_GT(infeasible, 0u);
+}
+
+TEST(BatchKernels, RunOfOneRepeatIsAMemoHit) {
+  const auto sweep = homogeneous_sweep(419, 3, "chain", rm::PowerLaw(3.0), 0.0);
+  const rm::EnergyModel cont = rm::ContinuousModel{2.0};
+  re::ReclaimEngine engine({.threads = 1});
+  const auto first = engine.solve_one(sweep[0], cont);
+  const auto again = engine.solve_one(sweep[0], cont);
+  expect_identical(again, first);
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.fresh_solves, 1u);
+  EXPECT_EQ(stats.kernel_solves, 1u);
+  EXPECT_EQ(stats.kernel_chain, 1u);
+  EXPECT_EQ(stats.memo_hits, 1u);
+}
+
+TEST(BatchKernels, RunOfOneHandBackMatchesCoreSolve) {
+  // Leaky forks whose closed form violates the s_crit floor are planned
+  // but handed back by the kernel; the route must fall through to
+  // core::solve and count no kernel solve for them.
+  const rm::EnergyModel cont = rm::ContinuousModel{2.0};
+  const auto sweep =
+      homogeneous_sweep(421, 60, "fork", rm::StaticPowerLaw(3.0, 0.8));
+  std::size_t handed_back = 0;
+  for (const auto& instance : sweep) {
+    const auto plan = rc::plan_kernel(instance, cont, {});
+    ASSERT_TRUE(plan.has_value());
+    const rc::Instance* const ptr = &instance;
+    rc::Solution kernel;
+    rc::solve_kernel_run(*plan, &ptr, 1, &kernel);
+    if (!kernel.method.empty()) continue;
+    ++handed_back;
+    re::ReclaimEngine engine({.threads = 1});
+    expect_identical(engine.solve_one(instance, cont),
+                     rc::solve(instance, cont, {}));
+    EXPECT_EQ(engine.stats().kernel_solves, 0u);
+    EXPECT_EQ(engine.stats().fresh_solves, 1u);
+  }
+  EXPECT_GT(handed_back, 0u);
+}
+
+TEST(BatchKernels, NoKernelsEngineNeverTakesTheRunOfOneRoute) {
+  const rm::EnergyModel cont = rm::ContinuousModel{2.0};
+  for (const auto& c : route_cases()) {
+    SCOPED_TRACE(c.name);
+    re::ReclaimEngine engine({.threads = 1, .use_kernels = false});
+    for (const auto& instance : c.instances) {
+      expect_identical(engine.solve_one(instance, cont, c.options),
+                       rc::solve(instance, cont, c.options));
+    }
+    (void)engine.solve_batch(interleave_runs_of_one(c.instances), cont,
+                             c.options);
+    (void)engine.solve_batch(c.instances, cont, c.options);
+    EXPECT_EQ(engine.stats().kernel_solves, 0u);
+  }
+}
+
+// ------------------------------------------------------ sleep-DP exclusion
+
+TEST(BatchKernels, SleepDpBatchDispatchesTheOracle) {
+  // SleepMode::kDp on a sleep-enabled platform is core::solve's sleep-DP
+  // oracle, not a closed form: a batch run long enough for the kernels,
+  // and each instance alone, must answer exactly as core::solve does.
+  const rm::EnergyModel model = rm::ContinuousModel{
+      std::numeric_limits<double>::infinity()};
+  rc::SolveOptions options;
+  options.sleep_mode = rc::SleepMode::kDp;
+  const auto power =
+      rm::make_power_model(3.0, 2.0, rm::make_sleep_spec(1.5, 1.5, 0.0));
+  std::vector<rc::Instance> chains;
+  for (std::size_t k = 0; k < re::kKernelMinRun; ++k) {
+    chains.push_back(rc::make_instance(
+        rg::make_chain({1.0, 1.0 + 0.1 * static_cast<double>(k)}), 6.0,
+        power));
+  }
+  EXPECT_FALSE(rc::plan_kernel(chains[0], model, options).has_value());
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    re::ReclaimEngine engine({.threads = threads});
+    const auto out = engine.solve_batch(chains, model, options);
+    ASSERT_EQ(out.size(), chains.size());
+    for (std::size_t k = 0; k < chains.size(); ++k) {
+      SCOPED_TRACE("instance " + std::to_string(k));
+      const auto reference = rc::solve(chains[k], model, options);
+      EXPECT_EQ(reference.method, "sleep-dp");
+      expect_identical(out[k], reference);
+      expect_identical(engine.solve_one(chains[k], model, options), reference);
+    }
+    EXPECT_EQ(engine.stats().kernel_solves, 0u);
+  }
 }
 
 // ---------------------------------------------------------- arena scratch

@@ -385,7 +385,8 @@ solve options:
   --processors <p>       processor count for list scheduling [default 1]
   --mapping <file>       explicit mapping (skips the list scheduler)
   --threads <t>          engine worker threads (batch)       [default: cores]
-  --no-kernels           disable the batched closed-form kernels (batch)
+  --no-kernels           disable the closed-form kernels: every batch
+                         instance, in a long run or alone, takes core::solve
   --csv <1>              batch output as CSV instead of a table
 
 schedule options: --graph, --processors

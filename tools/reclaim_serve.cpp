@@ -48,8 +48,8 @@ engine:
   --threads <t>          solver worker threads        [default: cores]
   --memo-entries <n>     solution-memo entry cap      [default 65536]
   --memo-mb <m>          solution-memo byte cap, MiB  [default 64; 0 = off]
-  --no-kernels           disable the batched closed-form kernels inside
-                         solve_batch (scalar dispatch for every instance)
+  --no-kernels           disable the closed-form kernels for every request
+                         (core::solve answers every instance)
 
 service:
   --stats-interval <s>   seconds between stats lines on stderr
