@@ -531,9 +531,12 @@ TEST(Server, OutOfOrderCompletionMatchedByRequestId) {
 
   // One heavy general DAG first, then a pile of trivial chains: the
   // chains overtake the stencil on the other pool threads, so replies
-  // cannot come back in submission order.
+  // cannot come back in submission order. The chains are sent only once
+  // a worker has picked the stencil up, and the stencil is large enough
+  // to still be solving when they complete, so the premise holds no
+  // matter how long an idle worker takes to wake.
   reclaim::util::Rng rng(99);
-  const auto heavy_graph = rg::make_stencil(10, 10, rng);
+  const auto heavy_graph = rg::make_stencil(20, 20, rng);
   std::ostringstream heavy_text;
   rio::write_task_graph(heavy_text, heavy_graph);
   rn::SolveRequest heavy;
@@ -546,6 +549,23 @@ TEST(Server, OutOfOrderCompletionMatchedByRequestId) {
                              2.0);
 
   const std::uint64_t heavy_id = conn.client->send_solve(heavy);
+  {
+    // Polled from a second connection so request ids on `conn` stay 1..41.
+    // memoized() counts an instance as soon as a worker takes it, and as
+    // a fresh solve only once it is solved.
+    TestConnection monitor(server);
+    for (;;) {
+      (void)monitor.client->send_stats();
+      const auto reply = monitor.client->read_message();
+      ASSERT_TRUE(reply.has_value());
+      const auto* stats = std::get_if<rn::StatsReply>(&reply->body);
+      ASSERT_NE(stats, nullptr);
+      ASSERT_EQ(stats->fresh_solves, 0u)
+          << "the heavy solve finished before it was seen in flight";
+      if (stats->instances == 1) break;
+      std::this_thread::yield();
+    }
+  }
   constexpr std::size_t kLight = 40;
   for (std::size_t i = 0; i < kLight; ++i) {
     (void)conn.client->send_solve(chain_request());
