@@ -288,8 +288,8 @@ JointSleepResult solve_joint_sleep(const Instance& instance,
   }
 
   result.rounds = rounds_run;
-  result.solution.iterations += evaluate.evals();
   if (cur_eval.total() < anchor_total * kImprove) {
+    result.solution.iterations += evaluate.evals();  // charged when improved
     result.improved = true;
     result.solution.method = "joint-sleep";
     result.solution.speeds = cur;

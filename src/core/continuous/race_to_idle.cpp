@@ -181,12 +181,11 @@ RaceToIdleResult solve_race_to_idle(const Instance& instance,
       }
     }
   }
-  result.solution.iterations += evals;
-
   // Strict improvement only: ties (and fp noise) keep the crawl, so a
   // zero-effect sleep spec can never perturb the returned schedule.
   if (best.total() >= crawl_eval.total() * (1.0 - 1e-12)) return result;
 
+  result.solution.iterations += evals;  // charged when raced
   result.raced = true;
   result.speedup = best_k;
   result.chosen.busy = best.busy;

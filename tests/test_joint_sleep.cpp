@@ -224,6 +224,46 @@ TEST(JointSleep, ZeroSpecReturnsRaceBitIdentically) {
   EXPECT_EQ(joint.chosen.total(), race.chosen.total());
 }
 
+TEST(JointSleep, KeptCrawlReportsTheBarrierWorkMeasure) {
+  // A sleep spec under which sleeping never pays: the race and the joint
+  // moves evaluate many candidates but beat nothing, so the crawl is
+  // returned — with solve_continuous's Newton steps as its iterations, not
+  // inflated by the refiners' evaluations (Solution::iterations is the
+  // work measure of the solver named in `method`).
+  reclaim::util::Rng rng(223);
+  const auto app = rg::make_layered(4, 4, 0.5, rng);
+  const auto mapping = rs::list_schedule(app, 2).mapping;
+  auto exec = rs::build_execution_graph(app, mapping);
+  const double deadline = 1.6 * rc::min_deadline(exec, 2.0);
+  const auto instance = rc::make_instance(
+      std::move(exec), deadline,
+      rm::make_power_model(3.0, 0.1, rm::make_sleep_spec(1.0, 1.0, 0.0)));
+  const rm::ContinuousModel model{2.0};
+  const auto crawl = rc::solve_continuous(instance, model);
+  ASSERT_EQ(crawl.method, "numeric-barrier");
+  ASSERT_GT(crawl.iterations, 0u);
+
+  const auto race = rc::solve_race_to_idle(instance, model, mapping);
+  ASSERT_FALSE(race.raced);
+  EXPECT_EQ(race.solution.method, crawl.method);
+  EXPECT_EQ(race.solution.iterations, crawl.iterations);
+
+  const auto joint = rc::solve_joint_sleep(instance, model, mapping);
+  ASSERT_FALSE(joint.improved);
+  EXPECT_EQ(joint.solution.method, crawl.method);
+  EXPECT_EQ(joint.solution.iterations, crawl.iterations);
+
+  re::ReclaimEngine engine({.threads = 1});
+  for (const rc::SleepMode mode : {rc::SleepMode::kRace, rc::SleepMode::kJoint}) {
+    rc::SolveOptions options;
+    options.sleep_mode = mode;
+    const auto served = engine.solve_one(re::MappedInstance{instance, mapping},
+                                         rm::EnergyModel{model}, options);
+    EXPECT_EQ(served.method, crawl.method);
+    EXPECT_EQ(served.iterations, crawl.iterations);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The exact DP: block structure, domain guards, infeasibility.
 // ---------------------------------------------------------------------------
