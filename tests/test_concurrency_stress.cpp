@@ -98,31 +98,36 @@ void run_client(rn::ReclaimServer& server, int client_index, int requests,
     // through the same pipe.
     const double deadlines[] = {3.0, 4.5, 6.0, 2.5, 8.0, 3.5};
     for (int i = 0; i < requests; ++i) {
-      std::uint64_t id = 0;
       PendingRequest what;
+      rn::SolveRequest request;
       if (i % 11 == 7) {
-        id = client.send_ping();
         what.kind = 1;
       } else if (i % 7 == 3) {
-        id = client.send_stats();
         what.kind = 2;
       } else {
         const bool chain = i % 3 == 0;
-        rn::SolveRequest request;
         request.graph_text = chain ? kChainGraph : kGridGraph;
         request.deadline =
             deadlines[static_cast<std::size_t>(i + client_index) %
                       std::size(deadlines)];
         request.model = rm::ContinuousModel{2.0};
         request.processors = 2;
-        id = client.send_solve(request);
         what.key = std::string(chain ? "chain" : "grid") + "@" +
                    std::to_string(request.deadline);
       }
+      // Registered before it is sent: the reply may arrive before the
+      // send returns. This thread is the only sender, so the id is the
+      // next one the client hands out (monotonic from 1).
+      const auto expected_id = static_cast<std::uint64_t>(i) + 1;
+      const int kind = what.kind;
       {
         const ru::MutexLock lock(mutex);
-        pending.emplace(id, std::move(what));
+        pending.emplace(expected_id, std::move(what));
       }
+      const std::uint64_t id = kind == 1   ? client.send_ping()
+                               : kind == 2 ? client.send_stats()
+                                           : client.send_solve(request);
+      EXPECT_EQ(id, expected_id);
       sent.fetch_add(1, std::memory_order_relaxed);
     }
   });
