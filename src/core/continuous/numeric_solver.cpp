@@ -307,10 +307,8 @@ Solution solve_numeric(const Instance& instance,
   if (ineqs.size() > used) ineqs.resize(used);
 
   const EnergyObjective objective(instance, options.exact_leakage, arena);
-  opt::BarrierOptions barrier_options;
-  barrier_options.rel_gap = options.rel_gap;
   const opt::BarrierResult result = opt::minimize_with_barrier(
-      objective, ineqs, std::move(x0), barrier_options);
+      objective, ineqs, std::move(x0), {.rel_gap = options.rel_gap});
 
   Solution s;
   s.method = method;

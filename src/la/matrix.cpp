@@ -1,7 +1,5 @@
 #include "la/matrix.hpp"
 
-#include <cmath>
-
 #include "util/error.hpp"
 
 namespace reclaim::la {
@@ -18,10 +16,6 @@ Matrix Matrix::identity(std::size_t n) {
   Matrix m(n, n);
   for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
   return m;
-}
-
-void Matrix::fill(double value) {
-  for (auto& x : data_) x = value;
 }
 
 Vector Matrix::multiply(const Vector& x) const {
@@ -68,12 +62,6 @@ Matrix Matrix::transposed() const {
   for (std::size_t r = 0; r < rows_; ++r)
     for (std::size_t c = 0; c < cols_; ++c) out(c, r) = (*this)(r, c);
   return out;
-}
-
-double Matrix::max_abs() const noexcept {
-  double m = 0.0;
-  for (double x : data_) m = std::max(m, std::abs(x));
-  return m;
 }
 
 }  // namespace reclaim::la

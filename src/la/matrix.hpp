@@ -38,8 +38,6 @@ class Matrix {
 
   [[nodiscard]] static Matrix identity(std::size_t n);
 
-  void fill(double value);
-
   /// y = A x. Requires x.size() == cols(). Result has rows() entries.
   [[nodiscard]] Vector multiply(const Vector& x) const;
 
@@ -50,9 +48,6 @@ class Matrix {
   [[nodiscard]] Matrix multiply(const Matrix& other) const;
 
   [[nodiscard]] Matrix transposed() const;
-
-  /// Max-abs element (used for scale estimates and test tolerances).
-  [[nodiscard]] double max_abs() const noexcept;
 
  private:
   std::size_t rows_ = 0;

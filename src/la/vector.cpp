@@ -16,21 +16,10 @@ double dot(const Vector& a, const Vector& b) {
   return s;
 }
 
-double norm2(const Vector& v) { return std::sqrt(dot(v, v)); }
-
 double norm_inf(const Vector& v) {
   double m = 0.0;
   for (double x : v) m = std::max(m, std::abs(x));
   return m;
-}
-
-void axpy(double alpha, const Vector& x, Vector& y) {
-  require(x.size() == y.size(), "axpy: dimension mismatch");
-  for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
-}
-
-void scale(Vector& v, double alpha) {
-  for (auto& x : v) x *= alpha;
 }
 
 }  // namespace reclaim::la

@@ -1,5 +1,5 @@
-// Dense vectors and BLAS-1 style helpers, shared by the dense and sparse
-// factorizations.
+// Dense vectors, shared by the dense and sparse factorizations, and the
+// BLAS-1 helpers the barrier solver uses.
 #pragma once
 
 #include <vector>
@@ -11,16 +11,7 @@ using Vector = std::vector<double>;
 /// Dot product; requires equal sizes.
 [[nodiscard]] double dot(const Vector& a, const Vector& b);
 
-/// Euclidean norm.
-[[nodiscard]] double norm2(const Vector& v);
-
 /// Infinity norm.
 [[nodiscard]] double norm_inf(const Vector& v);
-
-/// y += alpha * x (in place); requires equal sizes.
-void axpy(double alpha, const Vector& x, Vector& y);
-
-/// Element-wise scale: v *= alpha.
-void scale(Vector& v, double alpha);
 
 }  // namespace reclaim::la

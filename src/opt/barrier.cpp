@@ -25,24 +25,19 @@ namespace {
 /// pivots of rows whose scale is far below the matrix's largest entry.
 constexpr double kPivotRelTol = 1e-12;
 
-/// phi_t(x) = t * f(x) - sum log(residual_k); +inf outside the domain.
-/// Residuals are checked before f is evaluated: line-search candidates may
-/// fall outside f's domain (e.g. non-positive durations).
-double barrier_value(const ConvexObjective& f,
-                     const std::vector<SparseInequality>& ineqs, double t,
-                     const la::Vector& x) {
-  double log_sum = 0.0;
-  for (const auto& ineq : ineqs) {
-    const double r = ineq.residual(x);
-    if (r <= 0.0) return std::numeric_limits<double>::infinity();
-    log_sum += std::log(r);
-  }
-  return t * f.value(x) - log_sum;
+constexpr std::size_t kMaxIterations = 500;  ///< factorizations per solve
+constexpr std::size_t kMaxHalvings = 60;     ///< line-search halvings
+constexpr double kToBoundary = 0.99;         ///< step share to s, lambda = 0
+constexpr double kArmijo = 1e-4;             ///< sufficient-decrease fraction
+
+/// Largest step along dv that keeps v + step * dv >= 0.
+double max_step(double v, double dv) {
+  return dv < 0.0 ? -v / dv : std::numeric_limits<double>::infinity();
 }
 
 /// The Newton system's fixed structure: the factorization's symbolic
 /// phase, and where each constraint's rank-one term a_k a_k^T lands in it.
-/// Pair p of constraint k adds coeff[p] / r_k^2 at values()[slot[p]],
+/// Pair p of constraint k adds coeff[p] * lambda_k / s_k at values()[slot[p]],
 /// for p in [first[k], first[k+1]).
 struct NewtonSystem {
   la::SparseCholesky chol;
@@ -91,90 +86,152 @@ BarrierResult minimize_with_barrier(const ConvexObjective& objective,
                                     const std::vector<SparseInequality>& ineqs,
                                     la::Vector x0, const BarrierOptions& options) {
   const std::size_t dim = x0.size();
-  for (const auto& ineq : ineqs) {
-    util::require(ineq.residual(x0) > 0.0,
-                  "barrier start point is not strictly feasible");
-  }
-
+  const std::size_t m = ineqs.size();
   BarrierResult result;
   result.x = std::move(x0);
-  const auto m = static_cast<double>(ineqs.size());
+  la::Vector& x = result.x;
 
+  // The slacks s are variables of their own: recomputing s = b - Ax would
+  // cancel catastrophically at active rows. Their drift from b - Ax is the
+  // primal residual r_p, which every step's right-hand side removes. The
+  // multipliers start on the central path at mu0 = 1: s_k lambda_k = 1.
+  la::Vector s(m), lambda(m), r_p(m), cross(m), ds(m), dlambda(m), s_trial(m);
+  for (std::size_t k = 0; k < m; ++k) {
+    s[k] = ineqs[k].residual(x);
+    util::require(s[k] > 0.0, "barrier start point is not strictly feasible");
+    lambda[k] = 1.0 / s[k];
+  }
   NewtonSystem system(dim, ineqs);
   const std::span<double> values = system.chol.values();
-  la::Vector grad(dim);
-  la::Vector hess_diag(dim);
-  la::Vector residuals(ineqs.size());
-  la::Vector step(dim);
-  la::Vector candidate(dim);
+  // dual_res = grad + A^T lambda; rhs = -grad + A^T (lambda r_p / s).
+  la::Vector grad(dim), hess_diag(dim), dual_res(dim), rhs(dim), dx(dim),
+      x_trial(dim);
+  double f = objective.value(x);
+  double log_s = 0.0;
+  for (const double sk : s) log_s += std::log(sk);
+  double dual_rel0 = 0.0;
 
-  double t = options.t0;
-  for (std::size_t stage = 0; stage < options.max_stages; ++stage) {
-    // Newton centering for phi_t; phi_x tracks phi_t at the iterate.
-    double phi_x = barrier_value(objective, ineqs, t, result.x);
-    for (std::size_t it = 0; it < options.max_newton_per_stage; ++it) {
-      std::fill(grad.begin(), grad.end(), 0.0);
-      std::fill(hess_diag.begin(), hess_diag.end(), 0.0);
-      system.chol.clear();
+  // One direction from the current factor, aiming at s lambda = target
+  // with second-order term cross: dx solves the reduced system for
+  //   rhs + A^T ((cross - target) / s),
+  // then ds = r_p - A dx and dlambda = (target - s lambda - cross -
+  // lambda ds) / s. Sets step_max (fraction to the boundary) and returns
+  // the slope of the merit function phi = f - target sum(log s).
+  double target = 0.0;
+  double step_max = 1.0;
+  const auto direction = [&] {
+    dx = rhs;
+    for (std::size_t k = 0; k < m; ++k) {
+      const double shift = (cross[k] - target) / s[k];
+      for (const auto& [i, c] : ineqs[k].terms) dx[i] += c * shift;
+    }
+    system.chol.solve(dx);
+    double reach = std::numeric_limits<double>::infinity();
+    double ds_over_s = 0.0;
+    for (std::size_t k = 0; k < m; ++k) {
+      ds[k] = r_p[k];
+      for (const auto& [i, c] : ineqs[k].terms) ds[k] -= c * dx[i];
+      dlambda[k] =
+          (target - s[k] * lambda[k] - cross[k] - lambda[k] * ds[k]) / s[k];
+      reach = std::min({reach, max_step(s[k], ds[k]),
+                        max_step(lambda[k], dlambda[k])});
+      ds_over_s += ds[k] / s[k];
+    }
+    step_max = std::min(1.0, kToBoundary * reach);
+    return la::dot(grad, dx) - target * ds_over_s;
+  };
 
-      objective.add_gradient(result.x, grad);
-      for (auto& g : grad) g *= t;
-      objective.add_hessian_diagonal(result.x, hess_diag);
-      for (std::size_t i = 0; i < dim; ++i)
-        values[system.diagonal[i]] = t * hess_diag[i];
-
-      for (std::size_t k = 0; k < ineqs.size(); ++k) {
-        const double r = ineqs[k].residual(result.x);
-        util::require_numeric(r > 0.0, "barrier iterate left the domain");
-        residuals[k] = r;
-        const double inv = 1.0 / r;
-        const double inv2 = inv * inv;
-        // grad += a_k / r_k ; hess += a_k a_k^T / r_k^2  (a_k = +coeffs).
-        for (const auto& [vi, ci] : ineqs[k].terms) grad[vi] += ci * inv;
-        for (std::size_t p = system.first[k]; p < system.first[k + 1]; ++p)
-          values[system.slot[p]] += system.coeff[p] * inv2;
+  for (std::size_t iter = 0; iter < kMaxIterations; ++iter) {
+    // Residuals, H_f + A^T diag(lambda / s) A and rhs, in one pass.
+    std::fill(grad.begin(), grad.end(), 0.0);
+    std::fill(hess_diag.begin(), hess_diag.end(), 0.0);
+    system.chol.clear();
+    objective.add_gradient(x, grad);
+    objective.add_hessian_diagonal(x, hess_diag);
+    for (std::size_t i = 0; i < dim; ++i) {
+      values[system.diagonal[i]] = hess_diag[i];
+      dual_res[i] = grad[i];
+      rhs[i] = -grad[i];
+    }
+    double gap = 0.0;
+    for (std::size_t k = 0; k < m; ++k) {
+      r_p[k] = ineqs[k].residual(x) - s[k];
+      const double weight = lambda[k] / s[k];
+      for (const auto& [i, c] : ineqs[k].terms) {
+        dual_res[i] += c * lambda[k];
+        rhs[i] += c * weight * r_p[k];
       }
+      for (std::size_t p = system.first[k]; p < system.first[k + 1]; ++p)
+        values[system.slot[p]] += system.coeff[p] * weight;
+      gap += s[k] * lambda[k];
+    }
+    // Dual infeasibility, relative to the objective's own gradient.
+    const double dual_rel =
+        la::norm_inf(dual_res) / std::max(1.0, la::norm_inf(grad));
+    if (iter == 0) dual_rel0 = dual_rel;
+    if (gap <= options.rel_gap * std::max(1.0, std::abs(f)) &&
+        dual_rel <= options.rel_gap)
+      break;
+    system.chol.factor(kPivotRelTol);
+    ++result.newton_steps;
 
-      // Newton direction: hess dx = -grad.
-      system.chol.factor(kPivotRelTol);
-      for (std::size_t i = 0; i < dim; ++i) step[i] = -grad[i];
-      system.chol.solve(step);
-
-      const double decrement2 = -la::dot(grad, step);
-      ++result.newton_steps;
-      if (decrement2 * 0.5 <= options.newton_tol) break;
-
-      // Largest step that keeps all residuals positive.
-      double step_max = 1.0;
-      for (std::size_t k = 0; k < ineqs.size(); ++k) {
-        double along = 0.0;
-        for (const auto& [vi, ci] : ineqs[k].terms) along += ci * step[vi];
-        if (along > 0.0) step_max = std::min(step_max, 0.99 * residuals[k] / along);
-      }
-
-      // Backtracking line search on phi_t. When it finds no strict
-      // decrease, the predicted decrease is below phi_t's float resolution:
-      // the stage is centered to working precision, and the iterate stays.
-      double sigma = step_max;
-      double phi = phi_x;
-      for (std::size_t bt = 0; bt < 80; ++bt) {
-        for (std::size_t i = 0; i < dim; ++i)
-          candidate[i] = result.x[i] + sigma * step[i];
-        phi = barrier_value(objective, ineqs, t, candidate);
-        if (phi <= phi_x - options.armijo * sigma * decrement2) break;
-        sigma *= options.backtrack;
-      }
-      if (!(phi < phi_x)) break;
-      result.x.swap(candidate);
-      phi_x = phi;
+    // Predictor: the affine-scaling direction, target 0. As
+    // s dlambda + lambda ds = -s lambda, its step a leaves the gap at
+    // (1 - a) gap + a^2 sum(ds dlambda). The target is sigma gap / m with
+    // sigma = (gap_aff / gap)^3, floored so that the gap cannot close
+    // faster than dual feasibility.
+    target = 0.0;
+    std::fill(cross.begin(), cross.end(), 0.0);
+    direction();
+    double cross_sum = 0.0;
+    for (std::size_t k = 0; k < m; ++k) {
+      cross[k] = ds[k] * dlambda[k];
+      cross_sum += cross[k];
+    }
+    if (gap > 0.0) {
+      const double gap_aff =
+          (1.0 - step_max) * gap + step_max * step_max * cross_sum;
+      const double ratio = std::clamp(gap_aff / gap, 0.0, 1.0);
+      target = std::max(ratio * ratio * ratio * gap / static_cast<double>(m),
+                        dual_rel0 > 0.0 ? dual_rel / dual_rel0 : 0.0);
+    }
+    // Corrector. Its second-order term can turn the step uphill for phi;
+    // the plain centering direction never is.
+    double slope = direction();
+    if (!(slope < 0.0)) {
+      std::fill(cross.begin(), cross.end(), 0.0);
+      slope = direction();
     }
 
-    result.objective = objective.value(result.x);
-    result.gap = m / t;
-    if (result.gap <= options.rel_gap * std::max(1.0, std::abs(result.objective)))
-      break;
-    t *= options.mu;
+    // Armijo backtracking on phi, one common step for (x, s, lambda). When
+    // no halving decreases phi, the solve is at float resolution and stops.
+    const double phi0 = f - target * log_s;
+    double alpha = step_max;
+    std::size_t halvings = 0;
+    for (; halvings < kMaxHalvings; ++halvings, alpha *= 0.5) {
+      for (std::size_t i = 0; i < dim; ++i) x_trial[i] = x[i] + alpha * dx[i];
+      const double f_trial = objective.value(x_trial);
+      if (!std::isfinite(f_trial)) continue;
+      double log_trial = 0.0;
+      for (std::size_t k = 0; k < m; ++k) {
+        s_trial[k] = s[k] + alpha * ds[k];
+        log_trial += std::log(s_trial[k]);
+      }
+      if (f_trial - target * log_trial <=
+          phi0 + kArmijo * alpha * std::min(slope, 0.0)) {
+        f = f_trial;
+        log_s = log_trial;
+        break;
+      }
+    }
+    if (halvings == kMaxHalvings) break;
+    x.swap(x_trial);
+    s.swap(s_trial);
+    for (std::size_t k = 0; k < m; ++k) lambda[k] += alpha * dlambda[k];
   }
+
+  result.objective = f;
+  result.gap = la::dot(s, lambda);
   return result;
 }
 

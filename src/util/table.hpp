@@ -36,9 +36,6 @@ class Table {
   void print_csv(std::ostream& out) const;
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
-  [[nodiscard]] const std::vector<std::vector<std::string>>& row_data() const noexcept {
-    return rows_;
-  }
 
  private:
   std::string title_;

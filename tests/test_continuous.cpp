@@ -544,7 +544,33 @@ TEST(NumericSolver, ThousandTaskOutTreesMatchTreeSolver) {
     EXPECT_EQ(numeric.method, "numeric-barrier");
     EXPECT_NEAR(numeric.energy, tree.energy, 1e-9 * tree.energy)
         << "trial " << trial;
-    EXPECT_LE(numeric.iterations, 300u) << "trial " << trial;
+    EXPECT_LE(numeric.iterations, 60u) << "trial " << trial;
+  }
+}
+
+TEST(NumericSolver, NewtonStepsStayFewOnGeneralDags) {
+  // Step-count guard for the primal-dual barrier: general DAGs at n = 25
+  // and n = 100 (layered, and 5x5 / 10x10 stencils) from a tight to a
+  // loose deadline each solve in at most 40 Newton steps (path following
+  // took ~105). Step counts are deterministic.
+  Rng rng(43);
+  for (const std::size_t n : {25u, 100u}) {
+    const std::size_t side = n == 25 ? 5 : 10;
+    const rg::Digraph graphs[] = {rg::make_layered(n / 5, 5, 0.4, rng),
+                                  rg::make_stencil(side, side, rng)};
+    for (const auto& g : graphs) {
+      for (const double slack : {1.05, 1.3, 2.0, 3.0}) {
+        const auto instance =
+            rc::make_instance(g, slack * rc::min_deadline(g, 2.0));
+        rc::ContinuousOptions force;
+        force.force_numeric = true;
+        const auto s =
+            rc::solve_continuous(instance, rm::ContinuousModel{2.0}, force);
+        ASSERT_TRUE(s.feasible) << "n " << n << " slack " << slack;
+        EXPECT_EQ(s.method, "numeric-barrier");
+        EXPECT_LE(s.iterations, 40u) << "n " << n << " slack " << slack;
+      }
+    }
   }
 }
 

@@ -254,7 +254,8 @@ TEST(JointSleep, KeptCrawlReportsTheBarrierWorkMeasure) {
   EXPECT_EQ(joint.solution.iterations, crawl.iterations);
 
   re::ReclaimEngine engine({.threads = 1});
-  for (const rc::SleepMode mode : {rc::SleepMode::kRace, rc::SleepMode::kJoint}) {
+  for (const rc::SleepMode mode :
+       {rc::SleepMode::kRace, rc::SleepMode::kJoint}) {
     rc::SolveOptions options;
     options.sleep_mode = mode;
     const auto served = engine.solve_one(re::MappedInstance{instance, mapping},

@@ -78,17 +78,12 @@ TEST(Matrix, MatrixMatrixMultiplyAgainstTranspose) {
       EXPECT_NEAR(prod(r, c), prod(c, r), 1e-12);
 }
 
-TEST(VectorOps, DotNormAxpy) {
-  la::Vector a{1.0, 2.0, 2.0};
-  la::Vector b{2.0, 0.0, 1.0};
-  EXPECT_DOUBLE_EQ(la::dot(a, b), 4.0);
-  EXPECT_DOUBLE_EQ(la::norm2(a), 3.0);
-  EXPECT_DOUBLE_EQ(la::norm_inf(b), 2.0);
-  la::axpy(2.0, b, a);
-  EXPECT_DOUBLE_EQ(a[0], 5.0);
-  EXPECT_DOUBLE_EQ(a[2], 4.0);
-  la::scale(a, 0.5);
-  EXPECT_DOUBLE_EQ(a[0], 2.5);
+TEST(VectorOps, DotAndNormInf) {
+  const la::Vector a{1.0, 2.0, 2.0};
+  const la::Vector b{2.0, 0.0, -3.0};
+  EXPECT_DOUBLE_EQ(la::dot(a, b), -4.0);
+  EXPECT_DOUBLE_EQ(la::norm_inf(b), 3.0);
+  EXPECT_THROW((void)la::dot(a, la::Vector{1.0}), reclaim::InvalidArgument);
 }
 
 TEST(Cholesky, SolvesKnownSystem) {
@@ -182,7 +177,11 @@ double relative_residual(const la::Matrix& a, const la::Vector& x,
   double r = 0.0;
   for (std::size_t i = 0; i < b.size(); ++i)
     r = std::max(r, std::abs(ax[i] - b[i]));
-  return r / (a.max_abs() * la::norm_inf(x) + la::norm_inf(b));
+  double a_max = 0.0;
+  for (std::size_t i = 0; i < a.rows(); ++i)
+    for (std::size_t j = 0; j < a.cols(); ++j)
+      a_max = std::max(a_max, std::abs(a(i, j)));
+  return r / (a_max * la::norm_inf(x) + la::norm_inf(b));
 }
 
 Entries tree_pattern(std::size_t n, reclaim::util::Rng& rng) {

@@ -2,7 +2,10 @@
 // barrier interior point (vs closed-form convex optima), root finding.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "opt/barrier.hpp"
 #include "opt/roots.hpp"
@@ -214,6 +217,100 @@ TEST(Barrier, ReportsGapAndSteps) {
   const auto result = ro::minimize_with_barrier(f, ineqs, la::Vector{1.5});
   EXPECT_GT(result.newton_steps, 0u);
   EXPECT_LE(result.gap, 1e-9 * 1.0 + 1e-9);
+}
+
+namespace {
+
+/// The continuous MinEnergy objective of a chain in its durations:
+/// f(d) = sum w_i^3 / d_i^2 (alpha = 3), +inf off d > 0.
+class ChainEnergy final : public ro::ConvexObjective {
+ public:
+  explicit ChainEnergy(la::Vector weights) : weights_(std::move(weights)) {}
+
+  double value(const la::Vector& d) const override {
+    double e = 0.0;
+    for (std::size_t i = 0; i < weights_.size(); ++i) {
+      if (d[i] <= 0.0) return std::numeric_limits<double>::infinity();
+      e += cube(weights_[i]) / (d[i] * d[i]);
+    }
+    return e;
+  }
+  void add_gradient(const la::Vector& d, la::Vector& grad) const override {
+    for (std::size_t i = 0; i < weights_.size(); ++i)
+      grad[i] += -2.0 * cube(weights_[i]) / cube(d[i]);
+  }
+  void add_hessian_diagonal(const la::Vector& d,
+                            la::Vector& diag) const override {
+    for (std::size_t i = 0; i < weights_.size(); ++i)
+      diag[i] += 6.0 * cube(weights_[i]) / (cube(d[i]) * d[i]);
+  }
+
+  /// Closed-form optimum under sum d_i <= deadline: d_i proportional to
+  /// w_i, f* = W^3 / deadline^2.
+  double optimum(double deadline) const {
+    double total = 0.0;
+    for (const double w : weights_) total += w;
+    return cube(total) / (deadline * deadline);
+  }
+
+ private:
+  static double cube(double v) { return v * v * v; }
+  la::Vector weights_;
+};
+
+/// sum d_i <= deadline and d_i >= 0.
+std::vector<ro::SparseInequality> chain_constraints(std::size_t n,
+                                                    double deadline) {
+  std::vector<ro::SparseInequality> ineqs(1);
+  ineqs[0].rhs = deadline;
+  for (std::size_t i = 0; i < n; ++i) {
+    ineqs[0].terms.emplace_back(i, 1.0);
+    ineqs.push_back({{{i, -1.0}}, 0.0});
+  }
+  return ineqs;
+}
+
+}  // namespace
+
+TEST(Barrier, BadlyScaledStartReachesTheOptimum) {
+  // Every duration starts at 2e-5 to 6e-5 of its optimum, where the
+  // objective's gradient is 1e13 to 1e14 times its value at the optimum.
+  // An early corrector direction goes uphill for the merit function there;
+  // without the fallback to the plain centering direction the solve stalls
+  // at ~1.5x the optimum.
+  const ChainEnergy f({1.0, 2.0, 3.0});
+  const double deadline = 0.1;
+  const auto result = ro::minimize_with_barrier(
+      f, chain_constraints(3, deadline), la::Vector{1e-6, 1e-6, 1e-6});
+  const double f_star = f.optimum(deadline);  // d = (1, 2, 3) / 60
+  EXPECT_NEAR(result.objective, f_star, 1e-9 * f_star);
+  for (std::size_t i = 0; i < 3; ++i)
+    EXPECT_NEAR(result.x[i], static_cast<double>(i + 1) / 60.0, 1e-9);
+  EXPECT_LE(result.newton_steps, 60u);
+}
+
+TEST(Barrier, GapCertifiesTheObjective) {
+  // The reported gap s.lambda bounds the distance to the true optimum
+  // (which the iterate, being feasible, cannot undercut), and it is within
+  // the requested relative tolerance.
+  const la::Vector weights{0.5, 1.0, 1.5, 2.0, 4.0};
+  const ChainEnergy f(weights);
+  for (const double deadline : {2.0, 9.0, 40.0}) {
+    for (const double rel_gap : {1e-6, 1e-9}) {
+      ro::BarrierOptions options;
+      options.rel_gap = rel_gap;
+      const la::Vector x0(weights.size(), 0.5 * deadline / 5.0);
+      const auto result = ro::minimize_with_barrier(
+          f, chain_constraints(weights.size(), deadline), x0, options);
+      const double f_star = f.optimum(deadline);
+      const double excess = f.value(result.x) - f_star;
+      EXPECT_GE(excess, 0.0) << deadline << " " << rel_gap;
+      EXPECT_LE(excess, result.gap) << deadline << " " << rel_gap;
+      EXPECT_LE(result.gap,
+                rel_gap * std::max(1.0, std::abs(result.objective)))
+          << deadline << " " << rel_gap;
+    }
+  }
 }
 
 TEST(Roots, FindsSimpleRoot) {
