@@ -1,11 +1,12 @@
 // E9 — solver scalability (the polynomial claims of Theorems 2-3 and the
 // exponential reality of Theorem 4), measured with google-benchmark.
 //
-// Complexity expectations: tree/SP solvers ~ O(n); the barrier solver
-// takes ~100-150 Newton steps, each a sparse Cholesky whose cost follows
-// the fill of its minimum-degree ordering (near O(n) on trees, more on
-// wide layered DAGs); the Vdd LP is polynomial; branch-and-bound grows
-// exponentially with n. The barrier cases report Newton steps per solve.
+// Complexity expectations: tree/SP solvers ~ O(n); the primal-dual
+// barrier solver takes ~15-50 Newton steps, each one sparse Cholesky
+// (whose cost follows the fill of its minimum-degree ordering: near O(n)
+// on trees, more on wide layered DAGs) and two or three solves with it;
+// the Vdd LP is polynomial; branch-and-bound grows exponentially with n.
+// The barrier cases report Newton steps per solve.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
