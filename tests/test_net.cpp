@@ -536,7 +536,7 @@ TEST(Server, OutOfOrderCompletionMatchedByRequestId) {
   // to still be solving when they complete, so the premise holds no
   // matter how long an idle worker takes to wake.
   reclaim::util::Rng rng(99);
-  const auto heavy_graph = rg::make_stencil(20, 20, rng);
+  const auto heavy_graph = rg::make_stencil(30, 30, rng);
   std::ostringstream heavy_text;
   rio::write_task_graph(heavy_text, heavy_graph);
   rn::SolveRequest heavy;
