@@ -551,8 +551,8 @@ TEST(NumericSolver, ThousandTaskOutTreesMatchTreeSolver) {
 TEST(NumericSolver, NewtonStepsStayFewOnGeneralDags) {
   // Step-count guard for the primal-dual barrier: general DAGs at n = 25
   // and n = 100 (layered, and 5x5 / 10x10 stencils) from a tight to a
-  // loose deadline each solve in at most 40 Newton steps (path following
-  // took ~105). Step counts are deterministic.
+  // loose deadline each solve in at most 40 Newton steps. Step counts are
+  // deterministic.
   Rng rng(43);
   for (const std::size_t n : {25u, 100u}) {
     const std::size_t side = n == 25 ? 5 : 10;
