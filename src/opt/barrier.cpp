@@ -95,7 +95,7 @@ BarrierResult minimize_with_barrier(const ConvexObjective& objective,
   // cancel catastrophically at active rows. Their drift from b - Ax is the
   // primal residual r_p, which every step's right-hand side removes. The
   // multipliers start on the central path at mu0 = 1: s_k lambda_k = 1.
-  la::Vector s(m), lambda(m), r_p(m), cross(m), ds(m), dlambda(m), s_trial(m);
+  la::Vector s(m), lambda(m), r_p(m), cross(m), ds(m), dlambda(m);
   for (std::size_t k = 0; k < m; ++k) {
     s[k] = ineqs[k].residual(x);
     util::require(s[k] > 0.0, "barrier start point is not strictly feasible");
@@ -103,9 +103,8 @@ BarrierResult minimize_with_barrier(const ConvexObjective& objective,
   }
   NewtonSystem system(dim, ineqs);
   const std::span<double> values = system.chol.values();
-  // dual_res = grad + A^T lambda; rhs = -grad + A^T (lambda r_p / s).
-  la::Vector grad(dim), hess_diag(dim), dual_res(dim), rhs(dim), dx(dim),
-      x_trial(dim);
+  // dual_res = grad + A^T lambda, the dual residual.
+  la::Vector grad(dim), hess_diag(dim), dual_res(dim), dx(dim), x_trial(dim);
   double f = objective.value(x);
   double log_s = 0.0;
   for (const double sk : s) log_s += std::log(sk);
@@ -113,16 +112,16 @@ BarrierResult minimize_with_barrier(const ConvexObjective& objective,
 
   // One direction from the current factor, aiming at s lambda = target
   // with second-order term cross: dx solves the reduced system for
-  //   rhs + A^T ((cross - target) / s),
+  //   -grad + A^T ((lambda r_p + cross - target) / s),
   // then ds = r_p - A dx and dlambda = (target - s lambda - cross -
   // lambda ds) / s. Sets step_max (fraction to the boundary) and returns
   // the slope of the merit function phi = f - target sum(log s).
   double target = 0.0;
   double step_max = 1.0;
   const auto direction = [&] {
-    dx = rhs;
+    for (std::size_t i = 0; i < dim; ++i) dx[i] = -grad[i];
     for (std::size_t k = 0; k < m; ++k) {
-      const double shift = (cross[k] - target) / s[k];
+      const double shift = (lambda[k] * r_p[k] + cross[k] - target) / s[k];
       for (const auto& [i, c] : ineqs[k].terms) dx[i] += c * shift;
     }
     system.chol.solve(dx);
@@ -142,25 +141,20 @@ BarrierResult minimize_with_barrier(const ConvexObjective& objective,
   };
 
   for (std::size_t iter = 0; iter < kMaxIterations; ++iter) {
-    // Residuals, H_f + A^T diag(lambda / s) A and rhs, in one pass.
+    // Residuals and H_f + A^T diag(lambda / s) A, in one pass.
     std::fill(grad.begin(), grad.end(), 0.0);
     std::fill(hess_diag.begin(), hess_diag.end(), 0.0);
     system.chol.clear();
     objective.add_gradient(x, grad);
     objective.add_hessian_diagonal(x, hess_diag);
-    for (std::size_t i = 0; i < dim; ++i) {
+    for (std::size_t i = 0; i < dim; ++i)
       values[system.diagonal[i]] = hess_diag[i];
-      dual_res[i] = grad[i];
-      rhs[i] = -grad[i];
-    }
+    dual_res = grad;
     double gap = 0.0;
     for (std::size_t k = 0; k < m; ++k) {
       r_p[k] = ineqs[k].residual(x) - s[k];
+      for (const auto& [i, c] : ineqs[k].terms) dual_res[i] += c * lambda[k];
       const double weight = lambda[k] / s[k];
-      for (const auto& [i, c] : ineqs[k].terms) {
-        dual_res[i] += c * lambda[k];
-        rhs[i] += c * weight * r_p[k];
-      }
       for (std::size_t p = system.first[k]; p < system.first[k + 1]; ++p)
         values[system.slot[p]] += system.coeff[p] * weight;
       gap += s[k] * lambda[k];
@@ -213,10 +207,8 @@ BarrierResult minimize_with_barrier(const ConvexObjective& objective,
       const double f_trial = objective.value(x_trial);
       if (!std::isfinite(f_trial)) continue;
       double log_trial = 0.0;
-      for (std::size_t k = 0; k < m; ++k) {
-        s_trial[k] = s[k] + alpha * ds[k];
-        log_trial += std::log(s_trial[k]);
-      }
+      for (std::size_t k = 0; k < m; ++k)
+        log_trial += std::log(s[k] + alpha * ds[k]);
       if (f_trial - target * log_trial <=
           phi0 + kArmijo * alpha * std::min(slope, 0.0)) {
         f = f_trial;
@@ -226,8 +218,10 @@ BarrierResult minimize_with_barrier(const ConvexObjective& objective,
     }
     if (halvings == kMaxHalvings) break;
     x.swap(x_trial);
-    s.swap(s_trial);
-    for (std::size_t k = 0; k < m; ++k) lambda[k] += alpha * dlambda[k];
+    for (std::size_t k = 0; k < m; ++k) {
+      s[k] += alpha * ds[k];
+      lambda[k] += alpha * dlambda[k];
+    }
   }
 
   result.objective = f;
