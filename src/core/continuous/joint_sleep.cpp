@@ -18,6 +18,10 @@ constexpr double kGolden = 0.6180339887498949;
 /// incumbent, so the race anchor rides through untouched unless the
 /// refinement genuinely wins (mirrors race_to_idle's acceptance).
 constexpr double kImprove = 1.0 - 1e-12;
+/// Refine rounds (the loop exits early once a round finds no strict
+/// improvement) and golden-section iterations per 1-D move.
+constexpr std::size_t kRounds = 8;
+constexpr std::size_t kRefineIters = 32;
 
 /// Whole-platform energy of one speed assignment, evaluated exactly:
 /// per-task busy energy plus the idle/sleep charges of every gap of the
@@ -162,19 +166,40 @@ JointSleepResult solve_joint_sleep(const Instance& instance,
   }
   const double anchor_total = cur_eval.total();
 
+  // Earliest starts and tails of `cur`, refreshed on accept (the only
+  // place cur changes). Slowing v alone moves neither, so es + w/s + tail
+  // is a real exec-graph path; past the window the evaluator would report
+  // a miss, so the per-task move skips s unevaluated. The margin leaves a
+  // 1e-9 * window band evaluated as before, far wider than the ~n ulp the
+  // sums can differ from compute_timing's by; es is the forward pass's
+  // own start (not finish - duration) for the same reason.
+  std::vector<double> es;
+  std::vector<double> tail;
+  const auto refresh_paths = [&] {
+    const auto durations = sched::durations_from_speeds(g, cur);
+    es = sched::compute_timing(g, durations).start;
+    tail = sched::compute_tails(g, durations);
+  };
+  refresh_paths();
+  const double late = window * (1.0 + 2.0 * kFeasibilityRelTol);
+  const auto provably_late = [&](graph::NodeId v, double s) {
+    return es[v] + g.weight(v) / s + tail[v] > late;
+  };
+
   std::vector<double> tmp;
   const auto propose = [&](const std::vector<double>& speeds) {
     const Evaluation e = evaluate(speeds);
     if (e.feasible && e.total() < cur_eval.total() * kImprove) {
       cur = speeds;
       cur_eval = e;
+      refresh_paths();
       return true;
     }
     return false;
   };
 
   std::size_t rounds_run = 0;
-  for (std::size_t round = 0; round < options.rounds; ++round) {
+  for (std::size_t round = 0; round < kRounds; ++round) {
     const double before = cur_eval.total();
 
     // Re-decide gap states given speeds: stretch one task at a time into
@@ -187,18 +212,19 @@ JointSleepResult solve_joint_sleep(const Instance& instance,
       const double hi = cur[v];
       if (!(lo < hi)) continue;
       const auto f_single = [&](double s) {
+        if (provably_late(v, s)) return kInf;
         tmp = cur;
         tmp[v] = s;
-        const Evaluation e = evaluate(tmp);
-        return e.feasible ? e.total() : kInf;
+        return evaluate(tmp).total();
       };
       const model::SleepSpec& spec = spec_of(mapping.processor_of(v));
       const auto& power = instance.power_of(v);
       for (double s :
            {branch_stationary_speed(power, spec.p_idle),
             branch_stationary_speed(power, spec.p_sleep), lo,
-            golden_best(f_single, lo, hi, options.refine_iters)}) {
+            golden_best(f_single, lo, hi, kRefineIters)}) {
         const double clamped = std::clamp(s > 0.0 ? s : lo, lo, hi);
+        if (provably_late(v, clamped)) continue;
         tmp = cur;
         tmp[v] = clamped;
         propose(tmp);
@@ -239,8 +265,7 @@ JointSleepResult solve_joint_sleep(const Instance& instance,
       };
       const auto f_common = [&](double s) {
         with_common(s);
-        const Evaluation e = evaluate(tmp);
-        return e.feasible ? e.total() : kInf;
+        return evaluate(tmp).total();
       };
       const model::SleepSpec& spec = spec_of(p);
       const double kink = spec.break_even();
@@ -253,7 +278,7 @@ JointSleepResult solve_joint_sleep(const Instance& instance,
         candidates[count++] = work / (window - kink);
       }
       if (std::isfinite(cap_p)) candidates[count++] = cap_p;
-      candidates[count++] = golden_best(f_common, lo, hi, options.refine_iters);
+      candidates[count++] = golden_best(f_common, lo, hi, kRefineIters);
       for (std::size_t i = 0; i < count; ++i) {
         const double s = candidates[i];
         with_common(std::clamp(s > 0.0 ? s : lo, lo, hi));
@@ -265,21 +290,18 @@ JointSleepResult solve_joint_sleep(const Instance& instance,
     // k >= 1): re-balance the whole schedule against the gap charges the
     // per-task and per-processor moves just reshaped.
     {
-      const auto f_scale = [&](double k) {
+      const auto with_scale = [&](double k) {
         tmp = cur;
         for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
           if (g.weight(v) == 0.0) continue;
           tmp[v] = std::min(cur[v] * k, cap_of(v));
         }
-        const Evaluation e = evaluate(tmp);
-        return e.feasible ? e.total() : kInf;
       };
-      const double k = golden_best(f_scale, 0.5, 2.0, options.refine_iters);
-      tmp = cur;
-      for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
-        if (g.weight(v) == 0.0) continue;
-        tmp[v] = std::min(cur[v] * k, cap_of(v));
-      }
+      const auto f_scale = [&](double k) {
+        with_scale(k);
+        return evaluate(tmp).total();
+      };
+      with_scale(golden_best(f_scale, 0.5, 2.0, kRefineIters));
       propose(tmp);
     }
 

@@ -30,6 +30,11 @@
 //     (sleep_dp.hpp's optimal_tail_segment), plus a global uniform
 //     rescale in both directions.
 //
+// The per-task move skips, unevaluated, each speed whose path through the
+// task provably overshoots the window: the evaluator would only report a
+// deadline miss there, so every answer is unchanged, and
+// Solution::iterations counts only the evaluations actually made.
+//
 // Every move is accepted only on a strict exact-evaluation improvement,
 // and the final answer is accepted only when it strictly beats the race
 // anchor — otherwise the anchor is returned bit-identically, so the joint
@@ -52,13 +57,6 @@ namespace reclaim::core {
 struct JointSleepOptions {
   /// Options of the race-to-idle anchor solve (crawl options included).
   RaceToIdleOptions race;
-  /// Alternating refine rounds (each round: per-task stretches, then
-  /// whole-processor common speeds, then a global rescale); the loop exits
-  /// early once a full round finds no strict improvement.
-  std::size_t rounds = 8;
-  /// Golden-section iterations polishing each 1-D move around its
-  /// closed-form candidates.
-  std::size_t refine_iters = 32;
 };
 
 /// Power-down state chosen for one surviving gap of the returned

@@ -12,6 +12,10 @@ namespace reclaim::core {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Log-spaced speed-up factors probed between 1 and the cap ratio.
+constexpr std::size_t kGrid = 48;
+/// Golden-section iterations refining the best grid bracket.
+constexpr std::size_t kRefineIters = 48;
 
 /// Busy + idle platform energy of the crawl schedule scaled by k.
 struct Evaluation {
@@ -127,15 +131,17 @@ RaceToIdleResult solve_race_to_idle(const Instance& instance,
   // the best bracket. The objective is piecewise smooth (idle/sleep min()
   // kinks as gaps cross the break-even length), so the grid localizes the
   // basin and the refinement polishes it; both are deterministic.
-  const std::size_t grid = std::max<std::size_t>(options.grid, 2);
   const double log_hi = std::log(k_hi);
+  const auto grid_k = [&](std::size_t i) {
+    return std::exp(log_hi * static_cast<double>(i) /
+                    static_cast<double>(kGrid - 1));
+  };
   double best_k = 1.0;
   Evaluation best = crawl_eval;
   std::size_t best_index = 0;
   std::size_t evals = 1;
-  for (std::size_t i = 1; i < grid; ++i) {
-    const double k = std::exp(log_hi * static_cast<double>(i) /
-                              static_cast<double>(grid - 1));
+  for (std::size_t i = 1; i < kGrid; ++i) {
+    const double k = grid_k(i);
     const Evaluation e = eval_at(k);
     ++evals;
     if (e.total() < best.total()) {
@@ -145,19 +151,15 @@ RaceToIdleResult solve_race_to_idle(const Instance& instance,
     }
   }
   {
-    const auto grid_k = [&](std::size_t i) {
-      return std::exp(log_hi * static_cast<double>(i) /
-                      static_cast<double>(grid - 1));
-    };
     double lo = best_index == 0 ? 1.0 : grid_k(best_index - 1);
-    double hi = best_index + 1 < grid ? grid_k(best_index + 1) : k_hi;
+    double hi = best_index + 1 < kGrid ? grid_k(best_index + 1) : k_hi;
     constexpr double kGolden = 0.6180339887498949;
     double a = hi - kGolden * (hi - lo);
     double b = lo + kGolden * (hi - lo);
     Evaluation fa = eval_at(a);
     Evaluation fb = eval_at(b);
     evals += 2;
-    for (std::size_t it = 0; it < options.refine_iters; ++it) {
+    for (std::size_t it = 0; it < kRefineIters; ++it) {
       if (fa.total() <= fb.total()) {
         hi = b;
         b = a;

@@ -30,10 +30,6 @@ struct RaceToIdleOptions {
   ContinuousOptions continuous;
   /// Platform accounting window; <= 0 means the instance deadline.
   double window = 0.0;
-  /// Log-spaced speed-up factors probed between 1 and the cap ratio.
-  std::size_t grid = 48;
-  /// Golden-section iterations refining the best grid bracket.
-  std::size_t refine_iters = 48;
 };
 
 struct RaceToIdleResult {

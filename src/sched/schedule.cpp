@@ -63,6 +63,23 @@ Timing compute_timing(const graph::Digraph& exec_graph,
   return timing;
 }
 
+std::vector<double> compute_tails(const graph::Digraph& exec_graph,
+                                  const std::vector<double>& durations) {
+  require(durations.size() == exec_graph.num_nodes(),
+          "one duration per task required");
+  const auto order = graph::topological_order(exec_graph);
+  require(order.has_value(), "execution graph must be acyclic");
+
+  std::vector<double> tail(exec_graph.num_nodes(), 0.0);
+  for (auto it = order->rbegin(); it != order->rend(); ++it) {
+    double behind = 0.0;
+    for (graph::NodeId u : exec_graph.successors(*it))
+      behind = std::max(behind, durations[u] + tail[u]);
+    tail[*it] = behind;
+  }
+  return tail;
+}
+
 double total_energy(const graph::Digraph& g, const std::vector<double>& speeds,
                     const model::PowerModel& power) {
   require(speeds.size() == g.num_nodes(), "one speed per task required");

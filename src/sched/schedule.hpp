@@ -51,6 +51,13 @@ struct Timing {
 [[nodiscard]] Timing compute_timing(const graph::Digraph& exec_graph,
                                     const std::vector<double>& durations);
 
+/// Backward pass of compute_timing: tail[v] is the longest duration path
+/// behind v (0 for a sink). If v alone runs for d instead, start[v] + d +
+/// tail[v] is a real path through v, so it is at most the new makespan
+/// (up to rounding) and equal to it when v lies on a longest path.
+[[nodiscard]] std::vector<double> compute_tails(
+    const graph::Digraph& exec_graph, const std::vector<double>& durations);
+
 /// Total busy energy of constant-speed execution under `power` (dynamic
 /// plus, for a leakage-aware model, P_stat per busy second).
 [[nodiscard]] double total_energy(const graph::Digraph& g,

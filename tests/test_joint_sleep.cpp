@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -52,6 +53,23 @@ OneProc one_proc(rg::Digraph app, double deadline, const rm::PowerModel& power) 
   auto exec = rs::build_execution_graph(app, m.mapping);
   m.instance = rc::make_instance(std::move(exec), deadline, power);
   return m;
+}
+
+/// One E20 instance (bench_e20_joint_sleep): layered 4x4 on 3
+/// processors, slack 2.5, s_max = 2, alpha = 3, P_idle = P_stat + 0.5,
+/// P_sleep = 0.
+re::MappedInstance e20_instance(double p_static, double wake,
+                                std::uint64_t seed) {
+  const double s_max = 2.0;
+  reclaim::util::Rng rng(seed);
+  const auto app = rg::make_layered(4, 4, 0.5, rng);
+  const auto schedule = rs::list_schedule(app, 3, s_max);
+  auto exec = rs::build_execution_graph(app, schedule.mapping);
+  const double deadline = 2.5 * rc::min_deadline(exec, s_max);
+  const auto power = rm::make_power_model(
+      3.0, p_static, rm::make_sleep_spec(p_static + 0.5, 0.0, wake));
+  auto instance = rc::make_instance(std::move(exec), deadline, power);
+  return {std::move(instance), schedule.mapping};
 }
 
 void expect_identical(const rc::Solution& a, const rc::Solution& b) {
@@ -204,6 +222,62 @@ TEST(JointSleep, GoldenCommonSpeedCrawlOnTwoTaskChain) {
   EXPECT_NEAR(dp.chosen.total(), expected, 1e-9);
   EXPECT_EQ(dp.blocks, 1u);
   EXPECT_NEAR(dp.busy_end, 2.0 * d_star, 1e-9);
+}
+
+TEST(JointSleep, GoldenStationaryDurationOnTheDeadline) {
+  // The crawl fixture above with D = 4^(1/3): the stationary duration d*
+  // equals the window exactly, so the per-task move's skip of provably
+  // late speeds must still evaluate that candidate. No gap survives:
+  // total = 1/d*^2 + 2 d* = 4^(-2/3) + 2 * 4^(1/3) ~ 3.5717 at speed 1/D,
+  // against the crawl's 3 + 1.5 (D - 1) ~ 3.881.
+  rg::Digraph app;
+  app.add_node(1.0, "T");
+  const double deadline = std::cbrt(4.0);
+  const auto m = one_proc(
+      std::move(app), deadline,
+      rm::make_power_model(3.0, 2.0, rm::make_sleep_spec(1.5, 1.5, 0.0)));
+  const auto r = rc::solve_joint_sleep(m.instance, rm::ContinuousModel{kInf},
+                                       m.mapping);
+  ASSERT_TRUE(r.solution.feasible);
+  EXPECT_TRUE(r.improved);
+  EXPECT_NEAR(r.chosen.total(), 3.57165236692845, 1e-9);
+  EXPECT_NEAR(r.solution.speeds[0], 1.0 / deadline, 1e-9);
+  expect_schedule_feasible(m.instance, r.solution);
+}
+
+TEST(JointSleep, EvaluationCountGuard) {
+  // An E20 instance (P_stat = 1, E_wake = 8) where the joint moves win.
+  // Without the skip of provably late per-task speeds the refiner spent
+  // 1527 evaluations here, with it 360. The count is deterministic, so
+  // this guard cannot flake.
+  const auto m = e20_instance(1.0, 8.0, 2000);
+  const rm::ContinuousModel model{2.0};
+  const auto race = rc::solve_race_to_idle(m.instance, model, m.mapping);
+  const auto joint = rc::solve_joint_sleep(m.instance, model, m.mapping);
+  ASSERT_TRUE(joint.improved);
+  EXPECT_LE(joint.solution.iterations - race.solution.iterations, 600u);
+}
+
+TEST(JointSleep, SkippedSpeedsLeaveAnswersUnchanged) {
+  // Totals of the refiner from before it skipped provably late speeds,
+  // on E20 instances (P_stat = 1) that move when the skip is too eager:
+  // seed 2006 by ~0.2% if speeds 0.1% inside the deadline are skipped,
+  // seed 2003 by ~2e-9 if the 1e-9 * window band past it is skipped.
+  struct Pin {
+    double wake;
+    std::uint64_t seed;
+    double total;
+  };
+  const Pin pins[] = {{2.0, 2006, 180.92290177260142},
+                      {8.0, 2003, 142.35671261273095}};
+  const rm::ContinuousModel model{2.0};
+  for (const Pin& pin : pins) {
+    const auto m = e20_instance(1.0, pin.wake, pin.seed);
+    const auto r = rc::solve_joint_sleep(m.instance, model, m.mapping);
+    ASSERT_TRUE(r.improved) << "seed " << pin.seed;
+    EXPECT_NEAR(r.chosen.total(), pin.total, 5e-10 * pin.total)
+        << "seed " << pin.seed;
+  }
 }
 
 TEST(JointSleep, ZeroSpecReturnsRaceBitIdentically) {

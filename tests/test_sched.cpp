@@ -185,6 +185,56 @@ TEST(Schedule, TimingOnDiamond) {
   EXPECT_DOUBLE_EQ(timing.makespan, 4.0);
 }
 
+TEST(Schedule, TailsOnDiamond) {
+  rg::Digraph g(4, 1.0);
+  g.add_edge(0, 1);
+  g.add_edge(0, 2);
+  g.add_edge(1, 3);
+  g.add_edge(2, 3);
+  const auto tail = rs::compute_tails(g, {1.0, 2.0, 1.0, 1.0});
+  EXPECT_EQ(tail, (std::vector<double>{3.0, 1.0, 1.0, 0.0}));
+}
+
+// start[v] + d + tail[v] is a real path through v when v alone runs for
+// d: never above that schedule's makespan beyond rounding, and equal to
+// it once v lies on a longest path (d at or past v's float). Layered,
+// stencil and out-tree DAGs with random durations, a fifth of them zero.
+TEST(Schedule, TailBoundIsSoundForOneTaskStretches) {
+  Rng rng(2027);
+  for (int trial = 0; trial < 90; ++trial) {
+    rg::Digraph g;
+    if (trial % 3 == 0) {
+      g = rg::make_layered(5, 4, 0.4, rng);
+    } else if (trial % 3 == 1) {
+      g = rg::make_stencil(4, 5, rng);
+    } else {
+      g = rg::make_random_out_tree(20, rng);
+    }
+    std::vector<double> d(g.num_nodes());
+    for (double& x : d) x = rng.bernoulli(0.2) ? 0.0 : rng.uniform(0.1, 3.0);
+    const auto timing = rs::compute_timing(g, d);
+    const auto tail = rs::compute_tails(g, d);
+    for (rg::NodeId v = 0; v < g.num_nodes(); ++v) {
+      // The longest v may run without lengthening the schedule.
+      const double fill = timing.makespan - timing.start[v] - tail[v];
+      ASSERT_GE(fill, d[v] - 1e-12);
+      const double mid = 0.5 * (d[v] + fill);
+      const double past = 2.0 * fill + 1.0;
+      for (const double dv : {0.0, d[v], mid, fill, fill + 0.5, past}) {
+        auto stretched = d;
+        stretched[v] = dv;
+        const double makespan = rs::compute_timing(g, stretched).makespan;
+        const double bound = timing.start[v] + dv + tail[v];
+        const double tol = 1e-12 * (1.0 + makespan);
+        EXPECT_LE(bound, makespan + tol) << "trial " << trial << " v " << v;
+        if (dv >= fill) {
+          EXPECT_NEAR(bound, makespan, tol) << "trial " << trial << " v " << v;
+        }
+      }
+    }
+  }
+}
+
 TEST(Schedule, TotalEnergy) {
   rg::Digraph g;
   g.add_node(2.0);
