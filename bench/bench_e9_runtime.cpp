@@ -6,7 +6,8 @@
 // (whose cost follows the fill of its minimum-degree ordering: near O(n)
 // on trees, more on wide layered DAGs) and two or three solves with it;
 // the Vdd LP is polynomial; branch-and-bound grows exponentially with n.
-// The barrier cases report Newton steps per solve.
+// The barrier cases report Newton steps per solve; the joint speed/sleep
+// case reports the work of one solve and whether the joint moves won.
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
@@ -83,6 +84,35 @@ void BM_NumericBarrierOutTree(benchmark::State& state) {
               core::make_instance(g, 1.3 * core::min_deadline(g, 2.0)));
 }
 BENCHMARK(BM_NumericBarrierOutTree)->Arg(1000);
+
+/// Joint speed/sleep solves of a mapped layered DAG on 3 processors,
+/// under a sleep spec (P_stat = 1, P_idle = 1.5, P_sleep = 0, E_wake = 8)
+/// where the joint moves beat the race anchor. `iterations` is the work
+/// of one solve: barrier steps, race and joint evaluations.
+void BM_JointSleep(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(n);
+  const auto app = graph::make_layered(n / 5, 5, 0.4, rng);
+  const auto schedule = sched::list_schedule(app, 3, 2.0);
+  auto exec = sched::build_execution_graph(app, schedule.mapping);
+  const double deadline = 2.5 * core::min_deadline(exec, 2.0);
+  const auto sleep = model::make_sleep_spec(1.5, 0.0, 8.0);
+  const auto power = model::make_power_model(3.0, 1.0, sleep);
+  const auto instance = core::make_instance(std::move(exec), deadline, power);
+  const model::ContinuousModel cont{2.0};
+  core::JointSleepResult r;
+  for (auto _ : state) {
+    r = core::solve_joint_sleep(instance, cont, schedule.mapping);
+    benchmark::DoNotOptimize(r.solution.energy);
+  }
+  state.counters["iterations"] = static_cast<double>(r.solution.iterations);
+  state.counters["improved"] = r.improved ? 1.0 : 0.0;
+}
+BENCHMARK(BM_JointSleep)
+    ->Arg(25)
+    ->Arg(100)
+    ->Arg(400)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_VddLp(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
