@@ -32,7 +32,7 @@
 //
 // The per-task move skips, unevaluated, each speed whose path through the
 // task provably overshoots the window: the evaluator would only report a
-// deadline miss there, so every answer is unchanged, and
+// deadline miss there, so skipping changes no answer, and
 // Solution::iterations counts only the evaluations actually made.
 //
 // Every move is accepted only on a strict exact-evaluation improvement,

@@ -260,16 +260,18 @@ TEST(JointSleep, EvaluationCountGuard) {
 
 TEST(JointSleep, SkippedSpeedsLeaveAnswersUnchanged) {
   // Totals of the refiner from before it skipped provably late speeds,
-  // on E20 instances (P_stat = 1) that move when the skip is too eager:
+  // on E20 instances (P_stat = 1) that move when the skip is unsound:
   // seed 2006 by ~0.2% if speeds 0.1% inside the deadline are skipped,
-  // seed 2003 by ~2e-9 if the 1e-9 * window band past it is skipped.
+  // seed 2003 by ~2e-9 if the 1e-9 * window band past it is skipped,
+  // seed 2050 by ~1% if the path timing is not refreshed on accept.
   struct Pin {
     double wake;
     std::uint64_t seed;
     double total;
   };
   const Pin pins[] = {{2.0, 2006, 180.92290177260142},
-                      {8.0, 2003, 142.35671261273095}};
+                      {8.0, 2003, 142.35671261273095},
+                      {2.0, 2050, 143.47964622809621}};
   const rm::ContinuousModel model{2.0};
   for (const Pin& pin : pins) {
     const auto m = e20_instance(1.0, pin.wake, pin.seed);
