@@ -1,7 +1,7 @@
 // E9 — solver scalability (the polynomial claims of Theorems 2-3 and the
 // exponential reality of Theorem 4), measured with google-benchmark.
 //
-// Complexity expectations: tree/SP solvers ~ O(n); the primal-dual
+// Complexity expectations: tree/SP closed forms ~ O(n); the primal-dual
 // barrier solver takes ~15-50 Newton steps, each one sparse Cholesky
 // (whose cost follows the fill of its minimum-degree ordering: near O(n)
 // on trees, more on wide layered DAGs) and two or three solves with it;
@@ -10,32 +10,58 @@
 // case reports the work of one solve and whether the joint moves won.
 #include <benchmark/benchmark.h>
 
+#include <limits>
+#include <memory>
+
 #include "bench_util.hpp"
 
 namespace {
 
 using namespace reclaim;
 
+/// Closed-form tree solves through core::solve with the shape analyzed
+/// once up front, as the engine's shape cache hands it over.
 void BM_TreeSolver(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(n);
   const auto g = graph::make_random_out_tree(n, rng);
   auto instance = core::make_instance(g, 1.3 * core::min_deadline(g, 2.0));
+  const model::EnergyModel model = model::ContinuousModel{2.0};
+  const graph::ShapeInfo shape = graph::analyze(g);
+  if (core::solve(instance, model, {}, &shape).method != "tree") {
+    state.SkipWithError("not solved by the tree closed form");
+    return;
+  }
   for (auto _ : state) {
-    auto s = core::solve_tree(instance, model::ContinuousModel{2.0});
+    auto s = core::solve(instance, model, {}, &shape);
     benchmark::DoNotOptimize(s.energy);
   }
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_TreeSolver)->Arg(50)->Arg(200)->Arg(800)->Complexity();
 
+/// Series-parallel solves from scratch: the decomposition and the SP
+/// closed form (uncapped, Theorem 2) both inside the timed region.
 void BM_SpSolver(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(n);
   const auto g = graph::make_random_series_parallel(n, rng);
   auto instance = core::make_instance(g, 2.0 * core::min_deadline(g, 2.0));
+  const model::EnergyModel model =
+      model::ContinuousModel{std::numeric_limits<double>::infinity()};
+  const auto solve = [&] {
+    graph::ShapeInfo shape;
+    shape.shape = graph::GraphShape::kSeriesParallel;
+    shape.sp_tree = std::make_shared<const graph::SpTree>(
+        *std::move(graph::sp_decompose(g)));
+    return core::solve(instance, model, {}, &shape);
+  };
+  if (solve().method != "series-parallel") {
+    state.SkipWithError("not solved by the SP closed form");
+    return;
+  }
   for (auto _ : state) {
-    auto s = core::solve_sp(instance);
+    auto s = solve();
     benchmark::DoNotOptimize(s.energy);
   }
   state.SetComplexityN(state.range(0));

@@ -5,7 +5,6 @@
 #include <limits>
 #include <utility>
 
-#include "graph/topo.hpp"
 #include "util/arena.hpp"
 #include "util/error.hpp"
 
@@ -13,7 +12,7 @@ namespace reclaim::core {
 
 namespace {
 
-/// Constant-speed fill replicating speeds_solution exactly: zero-weight
+/// Constant-speed fill, as speeds_solution would build it: zero-weight
 /// tasks keep speed 0 and are skipped from the energy sum, which
 /// accumulates in node-id order against each task's own power model.
 void fill_constant_speed(const Instance& instance, double speed,
@@ -32,10 +31,9 @@ void fill_constant_speed(const Instance& instance, double speed,
   }
 }
 
-/// The dispatcher's respects_floor post-check with the same 1e-12 slack:
-/// true when some positive-weight task runs under the floor, in which case
-/// the scalar path would fall back to the numeric solver and the kernel
-/// must hand the instance back.
+/// True when some positive-weight task runs under the floor (with 1e-12
+/// slack): the closed form is not the floored optimum, so the kernel hands
+/// the instance back to the numeric solver.
 bool violates_floor(const Instance& instance, const Solution& s,
                     double floor) {
   if (floor <= 0.0) return false;
@@ -52,6 +50,8 @@ void run_single(const KernelPlan& plan, const Instance* const* instances,
   for (std::size_t i = 0; i < count; ++i) {
     const Instance& inst = *instances[i];
     const double w = inst.exec_graph.weight(0);
+    // Deadline-tight instances may compute w/D a few ulps past s_max;
+    // accept within the shared tolerance and clamp to the cap.
     const double speed = std::max(w / inst.deadline, plan.floor);
     if (!within_speed_cap(speed, plan.s_max)) {
       out[i] = infeasible_solution("closed-form-single");
@@ -66,6 +66,9 @@ void run_chain(const KernelPlan& plan, const Instance* const* instances,
                std::size_t count, Solution* out) {
   for (std::size_t i = 0; i < count; ++i) {
     const Instance& inst = *instances[i];
+    // Clamping the common speed up to the floor stays optimal: serial
+    // tasks share one speed, and the per-task cost is non-increasing down
+    // to the floor (for an s_crit floor, down to s_crit).
     const double speed =
         std::max(inst.exec_graph.total_weight() / inst.deadline, plan.floor);
     if (!within_speed_cap(speed, plan.s_max)) {
@@ -77,12 +80,14 @@ void run_chain(const KernelPlan& plan, const Instance* const* instances,
   }
 }
 
-/// Heterogeneous chains sharing one exponent per task slot: replicates
-/// dispatch's effective_bounds infeasibility and solve_chain_hetero
-/// operation-for-operation. The plan guarantees a uniform alpha across
-/// every slot, so the scalar form's mixed-exponent bailout cannot fire;
-/// the remaining bailouts (a binding floor or cap) hand the instance back
-/// to the scalar path's numeric solver.
+/// Heterogeneous chains: the equal-speed exchange argument needs one
+/// shared dynamic exponent across the weighted tasks, and the common
+/// speed W/D must clear every per-task floor (a binding floor would
+/// over-speed the other tasks) and cap (a binding cap splits the chain
+/// into capped and slower segments). Otherwise the instance goes back to
+/// the per-task-bounded numeric solver. A requested floor above a
+/// weighted task's cap leaves no admissible speed: infeasible, as the
+/// numeric route would report it.
 void run_chain_hetero(const KernelPlan& plan, const Instance* const* instances,
                       std::size_t count, Solution* out) {
   for (std::size_t i = 0; i < count; ++i) {
@@ -91,16 +96,22 @@ void run_chain_hetero(const KernelPlan& plan, const Instance* const* instances,
     const std::size_t n = g.num_nodes();
 
     bool empty_band = false;
+    bool mixed_alpha = false;
     bool any_weighted = false;
+    double alpha = 0.0;
     double max_floor = 0.0;
     double min_cap = std::numeric_limits<double>::infinity();
     for (graph::NodeId v = 0; v < n; ++v) {
       if (g.weight(v) == 0.0) continue;
       if (plan.s_min > plan.caps[v]) {
-        // effective_bounds: the requested floor exceeds this slot's cap —
-        // the restricted relaxation is empty for this instance.
         empty_band = true;
         break;
+      }
+      const double a = inst.power_of(v).alpha();
+      if (!any_weighted) {
+        alpha = a;
+      } else if (a != alpha) {
+        mixed_alpha = true;
       }
       any_weighted = true;
       max_floor = std::max(max_floor, plan.floors[v]);
@@ -112,9 +123,9 @@ void run_chain_hetero(const KernelPlan& plan, const Instance* const* instances,
     }
 
     const double common = g.total_weight() / inst.deadline;
-    if ((any_weighted && common < max_floor) ||
+    if (mixed_alpha || (any_weighted && common < max_floor) ||
         !within_speed_cap(common, min_cap)) {
-      out[i] = Solution{};  // off the closed form: scalar numeric re-solve
+      out[i] = Solution{};  // off the closed form: numeric re-solve
       continue;
     }
 
@@ -126,6 +137,7 @@ void run_chain_hetero(const KernelPlan& plan, const Instance* const* instances,
     for (graph::NodeId v = 0; v < n; ++v) {
       const double w = g.weight(v);
       if (w == 0.0) continue;
+      // min: shave fp slack off the cap.
       s.speeds[v] = std::min(common, plan.caps[v]);
       s.energy += inst.power_of(v).task_energy(w, s.speeds[v]);
     }
@@ -142,14 +154,13 @@ void run_fork(const KernelPlan& plan, const Instance* const* instances,
     const double d = inst.deadline;
     const double w0 = g.weight(root);
 
-    // Theorem 1's fork closed form, operation-for-operation the scalar
-    // solve_fork: l is the parallel equivalent weight of the leaves.
+    // Theorem 1: l is the parallel equivalent weight of the leaves.
     double sum_pow = 0.0;
     for (graph::NodeId v = 0; v < n; ++v) {
       if (v == root) continue;
       sum_pow += std::pow(g.weight(v), plan.alpha);
     }
-    const double l = sum_pow > 0.0 ? std::pow(sum_pow, 1.0 / plan.alpha) : 0.0;
+    const double l = sum_pow > 0.0 ? std::pow(sum_pow, plan.inv_alpha) : 0.0;
 
     Solution& s = out[i];
     s.method = "closed-form-fork";
@@ -160,8 +171,11 @@ void run_fork(const KernelPlan& plan, const Instance* const* instances,
     double leaf_window;
     if (s0_unconstrained <= plan.s_max) {
       s0 = s0_unconstrained;
+      // Unsaturated: leaves run at s0 * w_i / l, i.e. in a shared window
+      // of length l / s0.
       leaf_window = l > 0.0 ? l / s0 : 0.0;
     } else {
+      // Saturated branch: the source is pinned at s_max.
       s0 = plan.s_max;
       leaf_window = d - w0 / plan.s_max;
       if (l > 0.0 && leaf_window <= 0.0) {
@@ -199,22 +213,20 @@ void run_fork(const KernelPlan& plan, const Instance* const* instances,
     }
     s.feasible = true;
 
-    // The dispatcher's post-check: a feasible fork whose leaves run under
-    // the s_crit floor falls back to the numeric solver. The kernel hands
-    // those instances back to the scalar path (empty-method sentinel).
+    // A feasible fork whose leaves run under the s_crit floor is not the
+    // floored optimum: hand it back (empty-method sentinel).
     if (violates_floor(inst, s, plan.floor)) s = Solution{};
   }
 }
 
-/// Tree kernel: solve_out_tree over the flattened composition plan. The
-/// plan's order/CSR describe the evaluation graph (reversed for in-trees,
-/// ids preserved), so weights, power models and output speeds are indexed
-/// by original node id throughout. Infeasible results are emitted as-is —
-/// the dispatcher returns solve_tree's infeasible solutions directly —
-/// while feasible results under the s_crit floor are handed back.
+/// Tree kernel over the flattened composition plan. The plan's order/CSR
+/// describe the evaluation graph (reversed for in-trees, ids preserved),
+/// so weights, power models and output speeds are indexed by original
+/// node id throughout. Infeasible results are final; feasible results
+/// under the s_crit floor are handed back.
 void run_tree(const KernelPlan& plan, const Instance* const* instances,
               std::size_t count, Solution* out) {
-  const CompositionPlan& comp = *plan.comp;
+  const graph::CompositionPlan& comp = *plan.comp;
   const std::size_t n = comp.child_offset.size() - 1;
   auto& arena = util::Arena::scratch();
   std::vector<double> weq = arena.lease_doubles();
@@ -284,17 +296,16 @@ void run_tree(const KernelPlan& plan, const Instance* const* instances,
   arena.recycle_doubles(std::move(window));
 }
 
-/// SP kernel: solve_sp over the flattened decomposition traversals. The
-/// post-order pass is the recursive equivalent-weight fold unrolled
-/// (children in child order before their parent); the pre-order pass
-/// replays the window-assignment DFS, so leaves are visited — and energy
-/// accumulates — in exactly the recursion's order. The dispatcher's
-/// acceptance (Theorem 2 assumes s_max = +inf: take the SP answer only
-/// when its top speed respects the cap, then the floor post-check) is
-/// replicated; rejected instances are handed back.
+/// SP kernel over the decomposition's pre-order: walked backward it folds
+/// equivalent weights (every child before its parent), walked forward it
+/// hands each child its window and visits the leaves in DFS order, which
+/// fixes the energy accumulation order. Theorem 2 assumes s_max = +inf,
+/// so the answer stands only when its top speed respects the cap and no
+/// weighted task runs under the floor; otherwise the instance is handed
+/// back.
 void run_sp(const KernelPlan& plan, const Instance* const* instances,
             std::size_t count, Solution* out) {
-  const CompositionPlan& comp = *plan.comp;
+  const graph::CompositionPlan& comp = *plan.comp;
   const graph::SpTree& tree = *comp.sp_tree;
   const std::size_t m = tree.nodes.size();
   auto& arena = util::Arena::scratch();
@@ -308,8 +319,8 @@ void run_sp(const KernelPlan& plan, const Instance* const* instances,
     Solution& s = out[i];
 
     weq.assign(m, 0.0);
-    for (const std::uint32_t id : comp.post_order) {
-      const auto& node = tree.nodes[id];
+    for (auto it = comp.pre_order.rbegin(); it != comp.pre_order.rend(); ++it) {
+      const auto& node = tree.nodes[*it];
       double w = 0.0;
       switch (node.kind) {
         case graph::SpKind::kLeaf:
@@ -327,7 +338,7 @@ void run_sp(const KernelPlan& plan, const Instance* const* instances,
           break;
         }
       }
-      weq[id] = w;
+      weq[*it] = w;
     }
 
     s.method = "series-parallel";
@@ -339,28 +350,30 @@ void run_sp(const KernelPlan& plan, const Instance* const* instances,
     window[tree.root] = inst.deadline;
     for (const std::uint32_t id : comp.pre_order) {
       const auto& node = tree.nodes[id];
-      if (id != tree.root) {
-        const std::uint32_t p = comp.parent[id];
-        if (tree.nodes[p].kind == graph::SpKind::kSeries) {
-          // An all-zero series subtree stops the recursion in the scalar
-          // solver; a zero window here is equivalent, since every leaf
-          // beneath it is weightless and skipped before the window check.
-          window[id] =
-              weq[p] == 0.0 ? 0.0 : window[p] * weq[id] / weq[p];
-        } else {
-          window[id] = window[p];
+      switch (node.kind) {
+        case graph::SpKind::kSeries:
+          // Window shares by equivalent weight. An all-zero series
+          // subtree has nothing to run: its zero windows are never
+          // checked, since every leaf beneath it is weightless.
+          for (const std::size_t c : node.children) {
+            window[c] = weq[id] == 0.0 ? 0.0 : window[id] * weq[c] / weq[id];
+          }
+          break;
+        case graph::SpKind::kParallel:
+          for (const std::size_t c : node.children) window[c] = window[id];
+          break;
+        case graph::SpKind::kLeaf: {
+          if (node.task == graph::kNoNode) break;
+          const double w = g.weight(node.task);
+          if (w == 0.0) break;
+          util::require_numeric(window[id] > 0.0,
+                                "sp solver: zero window for a weighted task");
+          const double speed = w / window[id];
+          s.speeds[node.task] = speed;
+          s.energy += inst.power_of(node.task).task_energy(w, speed);
+          break;
         }
       }
-      if (node.kind != graph::SpKind::kLeaf || node.task == graph::kNoNode) {
-        continue;
-      }
-      const double w = g.weight(node.task);
-      if (w == 0.0) continue;
-      util::require_numeric(window[id] > 0.0,
-                            "sp solver: zero window for a weighted task");
-      const double speed = w / window[id];
-      s.speeds[node.task] = speed;
-      s.energy += inst.power_of(node.task).task_energy(w, speed);
     }
 
     const double top =
@@ -369,7 +382,7 @@ void run_sp(const KernelPlan& plan, const Instance* const* instances,
             : *std::max_element(s.speeds.begin(), s.speeds.end());
     if (!within_speed_cap(top, plan.s_max) ||
         violates_floor(inst, s, plan.floor)) {
-      s = Solution{};  // cap or floor binds: scalar numeric re-solve
+      s = Solution{};  // cap or floor binds: numeric re-solve
     }
   }
 
@@ -377,133 +390,35 @@ void run_sp(const KernelPlan& plan, const Instance* const* instances,
   arena.recycle_doubles(std::move(window));
 }
 
-/// Heterogeneous plan: only the serial closed forms survive heterogeneity
-/// (solve_hetero), and only under the reduction — the exact-leaky route
-/// waterfills or barriers per instance and stays scalar. A shared dynamic
-/// exponent across every task slot makes the per-instance mixed-exponent
-/// bailout in solve_chain_hetero unreachable regardless of which slots
-/// carry weight.
+/// Heterogeneous plan: only the chain's equal-speed form survives
+/// heterogeneity (per-slot caps and s_crit floors; run_chain_hetero
+/// checks the shared exponent per instance, over the weighted tasks).
 std::optional<KernelPlan> plan_hetero(const Instance& instance,
                                       const model::ContinuousModel& continuous,
-                                      const SolveOptions& options,
-                                      KernelFamily family) {
-  if (options.leakage == LeakageMode::kExact) return std::nullopt;
+                                      double s_min, KernelFamily family) {
   if (family != KernelFamily::kChain) return std::nullopt;
-  const auto& g = instance.exec_graph;
-  const std::size_t n = g.num_nodes();
-
-  const double alpha = instance.power_of(0).alpha();
-  for (graph::NodeId v = 1; v < n; ++v) {
-    if (instance.power_of(v).alpha() != alpha) return std::nullopt;
-  }
-
+  const std::size_t n = instance.exec_graph.num_nodes();
   KernelPlan plan;
   plan.family = family;
   plan.hetero = true;
-  plan.alpha = alpha;
-  plan.inv_alpha = 1.0 / alpha;
-  plan.s_min = options.continuous_s_min;
+  plan.s_min = s_min;
   plan.caps.resize(n);
   plan.floors.resize(n);
   for (graph::NodeId v = 0; v < n; ++v) {
     plan.caps[v] = std::min(continuous.s_max, instance.cap_of(v));
     plan.floors[v] = std::max(
-        plan.s_min,
-        std::min(instance.power_of(v).critical_speed(), plan.caps[v]));
+        s_min, std::min(instance.power_of(v).critical_speed(), plan.caps[v]));
   }
   return plan;
 }
 
-}  // namespace
-
-std::shared_ptr<const CompositionPlan> build_tree_plan(const graph::Digraph& g,
-                                                       bool in_tree) {
-  auto plan = std::make_shared<CompositionPlan>();
-  plan->reversed = in_tree;
-  // Reversal preserves node ids, so weights/power models/speeds keep their
-  // original indexing; only the adjacency flips, exactly as in solve_tree.
-  const graph::Digraph reversed = in_tree ? g.reversed() : graph::Digraph{};
-  const graph::Digraph& eval = in_tree ? reversed : g;
-
-  auto order = graph::topological_order(eval);
-  util::require(order.has_value(), "tree plan requires a DAG");
-  plan->order = std::move(*order);
-
-  const std::size_t n = eval.num_nodes();
-  plan->child_offset.reserve(n + 1);
-  plan->child_offset.push_back(0);
-  for (graph::NodeId v = 0; v < n; ++v) {
-    const auto& succ = eval.successors(v);
-    plan->child.insert(plan->child.end(), succ.begin(), succ.end());
-    plan->child_offset.push_back(static_cast<std::uint32_t>(plan->child.size()));
-  }
-  plan->roots = eval.sources();
-  return plan;
-}
-
-std::shared_ptr<const CompositionPlan> build_sp_plan(
-    std::shared_ptr<const graph::SpTree> tree) {
-  util::require(tree != nullptr, "sp plan requires a decomposition tree");
-  auto plan = std::make_shared<CompositionPlan>();
-  const auto& nodes = tree->nodes;
-  const std::size_t m = nodes.size();
-  const auto root = static_cast<std::uint32_t>(tree->root);
-
-  plan->parent.assign(m, root);
-  plan->pre_order.reserve(m);
-  plan->post_order.reserve(m);
-
-  std::vector<std::uint32_t> stack;
-  // DFS pre-order with siblings left-to-right (children pushed reversed):
-  // the window-assignment recursion's visit order.
-  stack.push_back(root);
-  while (!stack.empty()) {
-    const std::uint32_t id = stack.back();
-    stack.pop_back();
-    plan->pre_order.push_back(id);
-    const auto& children = nodes[id].children;
-    for (auto it = children.rbegin(); it != children.rend(); ++it) {
-      plan->parent[*it] = id;
-      stack.push_back(static_cast<std::uint32_t>(*it));
-    }
-  }
-  // Post-order with children left-to-right before their parent (the
-  // equivalent-weight fold's evaluation order): reverse of a parent-first,
-  // siblings right-to-left DFS.
-  stack.push_back(root);
-  while (!stack.empty()) {
-    const std::uint32_t id = stack.back();
-    stack.pop_back();
-    plan->post_order.push_back(id);
-    for (const std::size_t c : nodes[id].children) {
-      stack.push_back(static_cast<std::uint32_t>(c));
-    }
-  }
-  std::reverse(plan->post_order.begin(), plan->post_order.end());
-
-  plan->sp_tree = std::move(tree);
-  return plan;
-}
-
-std::optional<KernelPlan> plan_kernel(const Instance& instance,
-                                      const model::EnergyModel& model,
-                                      const SolveOptions& options,
-                                      const KernelPlanHints& hints) {
-  const auto* continuous = std::get_if<model::ContinuousModel>(&model);
-  if (continuous == nullptr) return std::nullopt;
-  // core::solve sends kDp on a sleep-enabled platform to the sleep-DP
-  // oracle, never to a closed form.
-  if (options.sleep_mode == SleepMode::kDp && instance.platform.has_sleep()) {
-    return std::nullopt;
-  }
+/// The plan of the s_crit reduction's closed form for `instance` with
+/// requested floor `s_min`, on the analyzed `info`.
+std::optional<KernelPlan> plan_reduction(
+    const Instance& instance, const model::ContinuousModel& continuous,
+    double s_min, const graph::ShapeInfo& info) {
   const auto& g = instance.exec_graph;
-  const std::size_t n = g.num_nodes();
-  if (n == 0 || instance.deadline <= 0.0) return std::nullopt;
-
-  // The engine's cached analysis, or graph::analyze itself. Joins are
-  // in-trees structurally but route to solve_join: they stay scalar.
-  const graph::ShapeInfo info =
-      hints.shape ? *hints.shape : graph::analyze(g);
+  if (g.num_nodes() == 0 || instance.deadline <= 0.0) return std::nullopt;
 
   KernelPlan plan;
   switch (info.shape) {
@@ -524,56 +439,83 @@ std::optional<KernelPlan> plan_kernel(const Instance& instance,
       plan.family = KernelFamily::kSp;
       break;
     default:
-      return std::nullopt;  // empty, join, general: scalar routes
+      return std::nullopt;  // empty, join, general
   }
 
   if (!instance.homogeneous_tasks()) {
-    return plan_hetero(instance, *continuous, options, plan.family);
+    return plan_hetero(instance, continuous, s_min, plan.family);
   }
 
   const auto& power = instance.power_of(0);
-  if (options.leakage == LeakageMode::kExact &&
-      (plan.family == KernelFamily::kFork ||
-       plan.family == KernelFamily::kTree ||
-       plan.family == KernelFamily::kSp) &&
-      power.has_static_power()) {
-    // Slack-bearing leaky parallel shape: the exact route runs a waterfill
-    // or barrier pass on top of the reduction — not batchable.
-    return std::nullopt;
+  plan.s_max = std::min(continuous.s_max, instance.cap_of(0));
+  if (s_min > plan.s_max) {
+    return std::nullopt;  // collapsed speed range: solve_continuous's case
   }
-
-  plan.s_max = std::min(continuous->s_max, instance.cap_of(0));
-  if (options.continuous_s_min > plan.s_max) {
-    return std::nullopt;  // collapsed speed range: scalar special case
-  }
-  plan.floor = std::max(options.continuous_s_min,
-                        std::min(power.critical_speed(), plan.s_max));
-  if (plan.family == KernelFamily::kFork) {
-    plan.root = g.sources().front();
-    plan.alpha = power.alpha();
-  }
-  if (plan.family == KernelFamily::kTree ||
-      plan.family == KernelFamily::kSp) {
+  // The s_crit reduction (DESIGN.md): the floor is raised to s_crit,
+  // capped at s_max (beyond the cap the cheapest admissible speed is
+  // s_max itself).
+  plan.floor = std::max(s_min, std::min(power.critical_speed(), plan.s_max));
+  if (plan.family == KernelFamily::kFork ||
+      plan.family == KernelFamily::kTree || plan.family == KernelFamily::kSp) {
     plan.alpha = power.alpha();
     plan.inv_alpha = 1.0 / plan.alpha;
-    // Reuse the engine's cached composition plan when it matches this
-    // family; otherwise flatten the topology now (once per run).
-    if (plan.family == KernelFamily::kTree) {
-      if (hints.comp && !hints.comp->order.empty()) {
-        plan.comp = hints.comp;
-      } else {
-        plan.comp =
-            build_tree_plan(g, info.shape == graph::GraphShape::kInTree);
-      }
-    } else {
-      if (hints.comp && hints.comp->sp_tree) {
-        plan.comp = hints.comp;
-      } else {
-        plan.comp = build_sp_plan(info.sp_tree);
-      }
-    }
+  }
+  if (plan.family == KernelFamily::kFork) plan.root = g.sources().front();
+  // Tree/SP: the cached composition plan, or the topology flattened now.
+  if (plan.family == KernelFamily::kTree || plan.family == KernelFamily::kSp) {
+    plan.comp = info.comp ? info.comp : graph::composition_plan(g, info);
   }
   return plan;
+}
+
+}  // namespace
+
+std::optional<KernelPlan> plan_kernel(const Instance& instance,
+                                      const model::EnergyModel& model,
+                                      const SolveOptions& options,
+                                      const graph::ShapeInfo* shape) {
+  const auto* continuous = std::get_if<model::ContinuousModel>(&model);
+  if (continuous == nullptr) return std::nullopt;
+  // core::solve sends kDp on a sleep-enabled platform to the sleep-DP
+  // oracle, never to a closed form.
+  if (options.sleep_mode == SleepMode::kDp && instance.platform.has_sleep()) {
+    return std::nullopt;
+  }
+  std::optional<graph::ShapeInfo> analyzed;
+  const graph::ShapeInfo& info =
+      shape != nullptr ? *shape
+                       : analyzed.emplace(graph::analyze(instance.exec_graph));
+  auto plan =
+      plan_reduction(instance, *continuous, options.continuous_s_min, info);
+  if (plan && options.leakage == LeakageMode::kExact &&
+      (plan->hetero || ((plan->family == KernelFamily::kFork ||
+                         plan->family == KernelFamily::kTree ||
+                         plan->family == KernelFamily::kSp) &&
+                        instance.power_of(0).has_static_power()))) {
+    // Slack-bearing leaky shapes: the exact route runs a waterfill or
+    // barrier pass on top of the reduction — not batchable.
+    return std::nullopt;
+  }
+  return plan;
+}
+
+bool solve_closed_form(const Instance& instance,
+                       const model::ContinuousModel& model, double s_min,
+                       const graph::ShapeInfo& shape, Solution& out) {
+  const auto plan = plan_reduction(instance, model, s_min, shape);
+  if (!plan) return false;
+  const Instance* const ptr = &instance;
+  solve_kernel_run(*plan, &ptr, 1, &out);
+  return !out.method.empty();  // empty: handed back
+}
+
+std::optional<KernelFamily> kernel_family_of(std::string_view method) {
+  if (method == "closed-form-single") return KernelFamily::kSingle;
+  if (method == "closed-form-chain") return KernelFamily::kChain;
+  if (method == "closed-form-fork") return KernelFamily::kFork;
+  if (method == "tree") return KernelFamily::kTree;
+  if (method == "series-parallel") return KernelFamily::kSp;
+  return std::nullopt;
 }
 
 bool kernel_run_compatible(const Instance& head, const Instance& other) {

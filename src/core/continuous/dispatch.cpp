@@ -5,10 +5,8 @@
 #include <utility>
 #include <vector>
 
-#include "core/continuous/closed_form.hpp"
+#include "core/continuous/batch_kernels.hpp"
 #include "core/continuous/numeric_solver.hpp"
-#include "core/continuous/sp_solver.hpp"
-#include "core/continuous/tree_solver.hpp"
 #include "core/continuous/waterfill.hpp"
 #include "graph/classify.hpp"
 #include "util/arena.hpp"
@@ -23,16 +21,6 @@ void recycle_numeric_buffers(NumericOptions& numeric_options) {
   auto& arena = util::Arena::scratch();
   arena.recycle_doubles(std::move(numeric_options.s_max_per_task));
   arena.recycle_doubles(std::move(numeric_options.s_min_per_task));
-}
-
-/// True when every positive-weight task runs at least at `floor`.
-bool respects_floor(const Instance& instance, const Solution& s, double floor) {
-  if (floor <= 0.0) return true;
-  for (graph::NodeId v = 0; v < instance.exec_graph.num_nodes(); ++v) {
-    if (instance.exec_graph.weight(v) == 0.0) continue;
-    if (s.speeds[v] < floor * (1.0 - 1e-12)) return false;
-  }
-  return true;
 }
 
 Solution numeric(const Instance& instance, const model::ContinuousModel& model,
@@ -73,50 +61,49 @@ bool effective_bounds(const Instance& instance,
   return true;
 }
 
-/// Heterogeneous route: per-task effective caps (processor cap folded with
-/// the model's global one) and s_crit floors threaded into the solvers.
-/// Single tasks and single-exponent chains keep their closed forms; every
-/// other shape — and every case where a floor or cap binds the serial
-/// closed form — runs the numeric barrier solver with per-task bounds
-/// (DESIGN.md, "Heterogeneous platforms").
+/// Heterogeneous route: a chain keeps its equal-speed closed form where
+/// that is exact; everything else — and every chain where a floor, a cap
+/// or mixed exponents rule it out — runs the numeric barrier solver with
+/// per-task caps (processor cap folded with the model's global one) and
+/// s_crit floors (DESIGN.md, "Heterogeneous platforms").
 Solution solve_hetero(const Instance& instance,
                       const model::ContinuousModel& model,
                       const ContinuousOptions& options,
-                      graph::GraphShape shape) {
-  auto& arena = util::Arena::scratch();
-  std::vector<double> caps = arena.lease_doubles();
-  std::vector<double> floors = arena.lease_doubles();
-  const auto recycle_bounds = [&] {
-    arena.recycle_doubles(std::move(caps));
-    arena.recycle_doubles(std::move(floors));
-  };
-  if (!effective_bounds(instance, model, options.s_min, caps, floors)) {
-    recycle_bounds();
-    return infeasible_solution("numeric-barrier");
-  }
-
+                      const graph::ShapeInfo& info) {
   if (!options.force_numeric) {
-    // Only the serial closed forms survive heterogeneity.
-    if (shape == graph::GraphShape::kSingleTask) {
-      Solution s = solve_single_hetero(instance, caps[0], floors[0]);
-      recycle_bounds();
-      return s;
-    }
-    if (shape == graph::GraphShape::kChain) {
-      if (auto s = solve_chain_hetero(instance, caps, floors)) {
-        recycle_bounds();
-        return *s;
-      }
-    }
+    Solution s;
+    if (solve_closed_form(instance, model, options.s_min, info, s)) return s;
   }
 
+  auto& arena = util::Arena::scratch();
   NumericOptions numeric_options;
   numeric_options.rel_gap = options.rel_gap;
-  numeric_options.s_max_per_task = std::move(caps);
-  numeric_options.s_min_per_task = std::move(floors);
+  numeric_options.s_max_per_task = arena.lease_doubles();
+  numeric_options.s_min_per_task = arena.lease_doubles();
+  if (!effective_bounds(instance, model, options.s_min,
+                        numeric_options.s_max_per_task,
+                        numeric_options.s_min_per_task)) {
+    recycle_numeric_buffers(numeric_options);
+    return infeasible_solution("numeric-barrier");
+  }
   Solution s = solve_numeric(instance, model, numeric_options);
   recycle_numeric_buffers(numeric_options);
   return s;
+}
+
+/// Join: Equation (1) is symmetric under time reversal, so the join
+/// optimum is the fork optimum of the reversed graph with identical
+/// speeds. Reversal preserves node ids, so the platform assignment
+/// carries over verbatim.
+bool solve_join(const Instance& instance, const model::ContinuousModel& model,
+                double s_min, Solution& out) {
+  const Instance reversed{instance.exec_graph.reversed(), instance.deadline,
+                          instance.platform, instance.assignment};
+  graph::ShapeInfo fork;
+  fork.shape = graph::GraphShape::kFork;
+  if (!solve_closed_form(reversed, model, s_min, fork, out)) return false;
+  out.method = "closed-form-join";
+  return true;
 }
 
 /// True when the s_crit reduction provably attains the true leaky optimum
@@ -185,7 +172,7 @@ Solution solve_exact_leaky(const Instance& instance,
                            const graph::ShapeInfo& info) {
   ContinuousOptions reduction_options = options;
   reduction_options.leakage = LeakageMode::kReduction;
-  reduction_options.shape = info;
+  reduction_options.shape = &info;
   Solution reduction = solve_continuous(instance, model, reduction_options);
   if (reduction_exact_a_priori(instance, model, info.shape)) return reduction;
   // Both modes share one feasible set (same deadline, caps and floors), so
@@ -243,7 +230,7 @@ Solution solve_continuous(const Instance& instance,
     return solve_exact_leaky(instance, original_model, options, info);
   }
   if (!instance.homogeneous_tasks())
-    return solve_hetero(instance, original_model, options, info.shape);
+    return solve_hetero(instance, original_model, options, info);
 
   // Homogeneous platform: fold the (shared) processor cap into the model's
   // global one and run the identical-processor machinery unchanged. With
@@ -268,6 +255,24 @@ Solution solve_continuous(const Instance& instance,
     return trivial;
   }
 
+  // The closed forms apply the s_crit reduction's floor themselves and
+  // hand an instance back when it binds.
+  if (!options.force_numeric) {
+    if (info.shape == graph::GraphShape::kEmpty) {
+      Solution s;
+      s.feasible = true;
+      s.energy = 0.0;
+      s.method = "trivial-empty";
+      return s;
+    }
+    Solution s;
+    if (info.shape == graph::GraphShape::kJoin
+            ? solve_join(instance, model, options.s_min, s)
+            : solve_closed_form(instance, model, options.s_min, info, s)) {
+      return s;
+    }
+  }
+
   // The s_crit reduction (DESIGN.md): under P = P_stat + s^alpha the
   // per-task busy cost is convex with minimizer s_crit, so the
   // leakage-aware problem runs the pure-dynamic machinery with the speed
@@ -275,59 +280,7 @@ Solution solve_continuous(const Instance& instance,
   // admissible speed is s_max itself).
   const double floor = std::max(
       options.s_min, std::min(instance.power().critical_speed(), model.s_max));
-  if (options.force_numeric) return numeric(instance, model, floor, options);
-
-  Solution s;
-  bool solved = false;
-
-  switch (info.shape) {
-    case graph::GraphShape::kEmpty:
-      s.feasible = true;
-      s.energy = 0.0;
-      s.method = "trivial-empty";
-      return s;
-    case graph::GraphShape::kSingleTask:
-      s = solve_single(instance, model, floor);
-      solved = true;
-      break;
-    case graph::GraphShape::kChain:
-      s = solve_chain(instance, model, floor);
-      solved = true;
-      break;
-    case graph::GraphShape::kFork:
-      s = solve_fork(instance, model);
-      solved = true;
-      break;
-    case graph::GraphShape::kJoin:
-      s = solve_join(instance, model);
-      solved = true;
-      break;
-    case graph::GraphShape::kOutTree:
-    case graph::GraphShape::kInTree:
-      s = solve_tree(instance, model);
-      solved = true;
-      break;
-    case graph::GraphShape::kSeriesParallel:
-      if (info.sp_tree != nullptr) {
-        // The SP algebra assumes s_max = +inf (Theorem 2); accept its answer
-        // only when the unconstrained optimum happens to respect the cap.
-        s = solve_sp(instance, *info.sp_tree);
-        const double top = s.speeds.empty()
-                               ? 0.0
-                               : *std::max_element(s.speeds.begin(),
-                                                   s.speeds.end());
-        solved = s.feasible && within_speed_cap(top, model.s_max);
-      }
-      break;
-    case graph::GraphShape::kGeneral:
-      break;
-  }
-
-  if (solved && s.feasible && !respects_floor(instance, s, floor)) {
-    solved = false;  // the floor (Theorem 5 relaxation or s_crit) binds
-  }
-  if (!solved) return numeric(instance, model, floor, options);
-  return s;
+  return numeric(instance, model, floor, options);
 }
 
 }  // namespace reclaim::core

@@ -1,23 +1,27 @@
 // Continuous-model front door: picks the strongest applicable solver.
 //
-//   chain/fork/join  -> closed forms (Theorem 1)
-//   out-/in-tree     -> tree solver (Theorem 2, finite s_max)
-//   series-parallel  -> SP algebra (Theorem 2) when the unconstrained
-//                       optimum respects s_max, else the numeric solver
-//   anything else    -> numeric barrier solver (geometric program)
+//   single/chain/fork -> closed forms (Theorem 1)
+//   join              -> the fork closed form on the reversed graph
+//   out-/in-tree      -> l_alpha composition (Theorem 2, finite s_max)
+//   series-parallel   -> SP composition (Theorem 2) when the unconstrained
+//                        optimum respects s_max
+//   anything else     -> numeric barrier solver (geometric program)
 //
-// An optional speed floor s_min (used by Theorem 5's rounding) routes to
-// the numeric solver whenever the unrestricted optimum violates it. Under
-// a leakage-aware power model the floor is additionally raised to the
-// critical speed s_crit (the s_crit reduction, DESIGN.md); single-task and
-// chain graphs stay on the closed-form path by clamping their constant
-// speed, every other shape falls back to the numeric solver when the
-// floor binds.
+// Every closed form is a kernel run of one (core/continuous/
+// batch_kernels): the engine's long runs use the same kernels, so its
+// answers are bit-identical to this function's by construction. A closed
+// form the kernel hands back — an optional speed floor s_min (Theorem 5's
+// rounding) or the SP speed cap binds — runs the floored numeric solver.
+// Under a leakage-aware power model the floor is additionally raised to
+// the critical speed s_crit (the s_crit reduction, DESIGN.md); single-task
+// and chain graphs stay on the closed-form path by clamping their
+// constant speed, every other shape falls back to the numeric solver when
+// the floor binds.
 //
 // Heterogeneous platforms (tasks seeing different power models or
 // processor caps via Instance::power_of/cap_of) route through per-task
-// caps and s_crit floors: single tasks and single-exponent chains keep
-// their closed forms where exact, everything else runs the numeric
+// caps and s_crit floors: chains whose weighted tasks share one exponent
+// keep their closed form where exact, everything else runs the numeric
 // barrier solver with per-task bounds (DESIGN.md, "Heterogeneous
 // platforms").
 //
@@ -29,8 +33,6 @@
 // sum_v (P_stat_v d_v + w_v^alpha_v / d_v^(alpha_v-1)) and keeps the
 // cheaper answer (DESIGN.md, "Exact leaky solver").
 #pragma once
-
-#include <optional>
 
 #include "core/problem.hpp"
 #include "graph/classify.hpp"
@@ -49,9 +51,11 @@ struct ContinuousOptions {
   /// exact (DESIGN.md, "Exact leaky solver").
   LeakageMode leakage = LeakageMode::kReduction;
   /// Pre-computed graph::analyze of the execution graph (the engine's
-  /// shape cache analyzes each topology once), so repeated shapes skip the
-  /// classification and the SP decomposition. Absent: analyzed here.
-  std::optional<graph::ShapeInfo> shape;
+  /// shape cache analyzes each topology once and attaches its composition
+  /// plan), so repeated shapes skip the classification, the SP
+  /// decomposition and the flattening. Not owned; must outlive the call.
+  /// Null: analyzed here.
+  const graph::ShapeInfo* shape = nullptr;
 };
 
 /// Solves the Continuous MinEnergy instance.

@@ -51,7 +51,7 @@ Solution solve(const Instance& instance, const model::EnergyModel& energy_model,
           continuous_options.rel_gap = options.rel_gap;
           continuous_options.s_min = options.continuous_s_min;
           continuous_options.leakage = options.leakage;
-          if (shape != nullptr) continuous_options.shape = *shape;
+          continuous_options.shape = shape;
           return solve_continuous(instance, m, continuous_options);
         } else if constexpr (std::is_same_v<M, model::VddHoppingModel>) {
           return solve_vdd_lp(instance, m).solution;

@@ -3,7 +3,7 @@
 // topology's cached graph::ShapeInfo.
 //
 // Dispatch:
-//   Continuous  -> solve_continuous (closed forms / tree / SP / numeric)
+//   Continuous  -> solve_continuous (closed-form kernels / numeric)
 //   Vdd-Hopping -> solve_vdd_lp (exact, Theorem 3)
 //   Discrete    -> exact branch-and-bound when the instance is small
 //                  enough (Theorem 4 willing), else the pseudo-polynomial

@@ -105,7 +105,6 @@ void put_model(std::string& out, const model::EnergyModel& energy_model) {
 // key-exempt(memoize): controls the cache itself, not what is cached
 // key-exempt(memo_capacity): cache sizing, never the cached value
 // key-exempt(memo_bytes): cache sizing, never the cached value
-// key-exempt(use_kernels): kernel-path solves bypass the memo entirely
 
 std::string topology_key(const graph::Digraph& g) {
   std::string key;

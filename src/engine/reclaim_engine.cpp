@@ -41,7 +41,7 @@ std::size_t ReclaimEngine::threads() const noexcept {
   return pool_ ? pool_->size() : 1;
 }
 
-ReclaimEngine::ShapeEntry ReclaimEngine::shape_of(const graph::Digraph& g) {
+graph::ShapeInfo ReclaimEngine::shape_of(const graph::Digraph& g) {
   const std::string key = topology_key(g);
   {
     const util::ReadLock lock(shape_mutex_);
@@ -51,20 +51,14 @@ ReclaimEngine::ShapeEntry ReclaimEngine::shape_of(const graph::Digraph& g) {
       return it->second;
     }
   }
-  ShapeEntry entry{graph::analyze(g), nullptr};
-  // Flatten the composition plan once per topology so tree/SP kernel runs
-  // of a cached shape skip the re-walk entirely.
-  if (entry.info.shape == graph::GraphShape::kSeriesParallel) {
-    entry.comp = core::build_sp_plan(entry.info.sp_tree);
-  } else if (entry.info.shape == graph::GraphShape::kOutTree ||
-             entry.info.shape == graph::GraphShape::kInTree) {
-    entry.comp = core::build_tree_plan(
-        g, entry.info.shape == graph::GraphShape::kInTree);
-  }
+  graph::ShapeInfo info = graph::analyze(g);
+  // Flatten the composition plan once per topology, so tree/SP solves of
+  // a cached shape skip the re-walk entirely.
+  info.comp = graph::composition_plan(g, info);
   const util::WriteLock lock(shape_mutex_);
-  // Two workers may race to fill the same key; both classified the same
+  // Two workers may race to fill the same key; both analyzed the same
   // topology, so keeping the first entry is harmless.
-  return shapes_.emplace(key, std::move(entry)).first->second;
+  return shapes_.emplace(key, std::move(info)).first->second;
 }
 
 template <class KeyFn, class SolveFn>
@@ -107,27 +101,16 @@ core::Solution ReclaimEngine::solve_routed(const core::Instance& instance,
         if (std::holds_alternative<model::VddHoppingModel>(model)) {
           return core::solve(instance, model, options);
         }
-        const ShapeEntry entry = shape_of(instance.exec_graph);
-        // A closed-form instance is cheaper as a kernel run of one, plan
-        // included, than through core::solve (docs/architecture.md,
-        // "Batched fast path"); the kernels are bit-identical to it. An
-        // instance the planner rejects or the kernel hands back falls
-        // through to core::solve.
-        if (options_.use_kernels) {
-          if (const auto plan = core::plan_kernel(instance, model, options,
-                                                  {entry.info, entry.comp})) {
-            const core::Instance* const ptr = &instance;
-            core::Solution out;
-            core::solve_kernel_run(*plan, &ptr, 1, &out);
-            if (!out.method.empty()) {
-              kernel_solves_.fetch_add(1, std::memory_order_relaxed);
-              kernel_family_[static_cast<std::size_t>(plan->family)].fetch_add(
-                  1, std::memory_order_relaxed);
-              return out;
-            }
-          }
+        const graph::ShapeInfo shape = shape_of(instance.exec_graph);
+        core::Solution solution = core::solve(instance, model, options, &shape);
+        // core::solve answers its closed forms with the kernels: count
+        // them, as the long-run driver counts its runs.
+        if (const auto family = core::kernel_family_of(solution.method)) {
+          kernel_solves_.fetch_add(1, std::memory_order_relaxed);
+          kernel_family_[static_cast<std::size_t>(*family)].fetch_add(
+              1, std::memory_order_relaxed);
         }
-        return core::solve(instance, model, options, &entry.info);
+        return solution;
       });
 }
 
@@ -152,7 +135,8 @@ core::Solution ReclaimEngine::solve_mapped(const MappedInstance& mapped,
     race.continuous.rel_gap = options.rel_gap;
     race.continuous.s_min = options.continuous_s_min;
     race.continuous.leakage = options.leakage;
-    race.continuous.shape = shape_of(mapped.instance.exec_graph).info;
+    const graph::ShapeInfo shape = shape_of(mapped.instance.exec_graph);
+    race.continuous.shape = &shape;
 
     if (options.sleep_mode == core::SleepMode::kJoint) {
       core::JointSleepOptions joint;
@@ -230,7 +214,7 @@ std::vector<core::Solution> ReclaimEngine::kernel_batch(
   // in a single pass, bypassing per-instance dispatch and the memo (a run
   // this long is a sweep of distinct instances, cheaper to solve than to
   // probe). An instance the kernel hands back (floor violation, or a cap
-  // overrun it will not adjudicate) is re-solved through the scalar path,
+  // overrun it will not adjudicate) is re-solved through solve_scalar,
   // which does its own accounting.
   const auto solve_segment = [&](const core::KernelPlan& plan,
                                  const core::Instance* const* ptrs,
@@ -280,8 +264,8 @@ std::vector<core::Solution> ReclaimEngine::kernel_batch(
       }
       std::optional<core::KernelPlan> plan;
       if (j - i >= kKernelMinRun) {
-        const ShapeEntry entry = shape_of(head.exec_graph);
-        plan = core::plan_kernel(head, model, options, {entry.info, entry.comp});
+        const graph::ShapeInfo shape = shape_of(head.exec_graph);
+        plan = core::plan_kernel(head, model, options, &shape);
       }
       if (plan) {
         solve_segment(*plan, ptrs.data(), i, j, out.data());
@@ -296,8 +280,8 @@ std::vector<core::Solution> ReclaimEngine::kernel_batch(
   // Pass 1 (caller thread): discover maximal candidate runs with cheap
   // structural predicates only — topology/model equality, no planning.
   // Only runs of at least kKernelMinRun count as sweeps of distinct
-  // instances; shorter ones go through solve_scalar (memo, then a kernel
-  // run of one).
+  // instances; shorter ones go through solve_scalar (memo, then
+  // core::solve).
   struct Run {
     std::size_t begin;
     std::size_t end;
@@ -326,9 +310,8 @@ std::vector<core::Solution> ReclaimEngine::kernel_batch(
   std::vector<std::optional<core::KernelPlan>> run_plans(runs.size());
   const auto plan_run = [&](std::size_t r) {
     const core::Instance& head = instance_at(runs[r].begin);
-    const ShapeEntry entry = shape_of(head.exec_graph);
-    run_plans[r] =
-        core::plan_kernel(head, model, options, {entry.info, entry.comp});
+    const graph::ShapeInfo shape = shape_of(head.exec_graph);
+    run_plans[r] = core::plan_kernel(head, model, options, &shape);
   };
   if (runs.size() > 1) {
     std::exception_ptr plan_error;
@@ -405,8 +388,7 @@ std::vector<core::Solution> ReclaimEngine::solve_batch(
   return kernel_batch(
       instances.size(),
       [&](std::size_t i) -> const core::Instance& { return instances[i]; },
-      [&](std::size_t) { return options_.use_kernels; }, model, options,
-      solve_scalar);
+      [](std::size_t) { return true; }, model, options, solve_scalar);
 }
 
 std::vector<core::Solution> ReclaimEngine::solve_batch(
@@ -423,8 +405,7 @@ std::vector<core::Solution> ReclaimEngine::solve_batch(
       [&](std::size_t i) {
         // Sleep-enabled platforms take the race-to-idle route, which the
         // kernels do not model; everything else shares the plain route.
-        return options_.use_kernels &&
-               !instances[i].instance.platform.has_sleep();
+        return !instances[i].instance.platform.has_sleep();
       },
       model, options, solve_scalar);
 }

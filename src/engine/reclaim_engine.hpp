@@ -14,13 +14,12 @@
 //   - A per-structure shape cache runs graph::analyze once per distinct
 //     topology and hands the cached graph::ShapeInfo to core::solve, so
 //     repeated shapes skip the classification and the SP decomposition.
-//   - Closed-form instances are solved by the batched kernels
-//     (core/continuous/batch_kernels), bit-identically to core::solve:
-//     a run of >= kKernelMinRun instances sharing a topology and power
-//     model is planned once and solved in one pass, and every other
-//     closed-form memo miss (short batch runs, solve_one, submit) is
-//     solved as a run of one. Instances the kernels reject or hand back
-//     take core::solve.
+//   - A run of >= kKernelMinRun instances sharing a topology and power
+//     model is a sweep: it is planned once and solved in one pass by the
+//     closed-form kernels (core/continuous/batch_kernels), bypassing the
+//     memo. core::solve answers its closed forms with the same kernels, so
+//     the long run is bit-identical to it; instances the planner rejects
+//     or the kernel hands back take core::solve.
 //   - A solution memo keyed by a canonical instance encoding
 //     (engine/instance_key.hpp) returns identical sub-instances of a sweep
 //     without re-solving; memoized results are bit-identical to fresh ones
@@ -59,7 +58,7 @@ namespace reclaim::engine {
 /// Minimum consecutive compatible instances for solve_batch to treat a
 /// run as a sweep of distinct instances: such a run bypasses the memo and
 /// is planned once for the whole run. Shorter runs go instance by
-/// instance through the memo, and each miss is a kernel run of one.
+/// instance through the memo, and each miss is a core::solve.
 inline constexpr std::size_t kKernelMinRun = 4;
 
 struct EngineOptions {
@@ -76,15 +75,6 @@ struct EngineOptions {
   /// cold end alongside the entry cap — the knob a daemon sets
   /// (reclaim_serve --memo-mb) to bound resident memory.
   std::size_t memo_bytes = 0;
-  /// Solve closed-form instances through the structure-of-arrays kernels
-  /// (core/continuous/batch_kernels) instead of core::solve, on every
-  /// route: solve_batch runs of >= kKernelMinRun instances sharing
-  /// topology, power model and cap are planned once and bypass the memo;
-  /// every other closed-form memo miss (short runs, solve_one, submit) is
-  /// a kernel run of one. Results are bit-identical to core::solve and
-  /// are reported via EngineStats::kernel_solves. With false, every solve
-  /// is core::solve (the ablation baseline).
-  bool use_kernels = true;
 };
 
 /// Cumulative counters since construction (or the last clear_caches()).
@@ -108,9 +98,10 @@ struct EngineStats {
   /// and the subset where it strictly beat the race-to-idle anchor.
   std::size_t joint_solves = 0;
   std::size_t joint_improved = 0;
-  /// Fast-path split of the fresh solves: instances solved by the
-  /// closed-form kernels, in long runs or as runs of one (a subset of
-  /// fresh_solves; the remainder took core::solve or a refiner).
+  /// Fast-path split of the fresh solves: instances answered by a
+  /// closed-form kernel, in long runs or through core::solve (a subset of
+  /// fresh_solves; the remainder took the barrier, another model's solver
+  /// or a refiner).
   std::size_t kernel_solves = 0;
   /// Per-family split of kernel_solves (which stays the total): which
   /// closed-form kernel solved each fast-path instance. The tree/SP
@@ -199,16 +190,6 @@ class ReclaimEngine {
   void clear_caches();
 
  private:
-  /// Cached structural analysis of one topology: graph::analyze (shape
-  /// and, for series-parallel graphs, the decomposition tree — one
-  /// decomposition per topology), plus the flattened composition plan for
-  /// tree/SP shapes (shared with the batched kernels so neither the scalar
-  /// nor the kernel path re-walks the topology).
-  struct ShapeEntry {
-    graph::ShapeInfo info;
-    std::shared_ptr<const core::CompositionPlan> comp;
-  };
-
   core::Solution solve_routed(const core::Instance& instance,
                               const model::EnergyModel& model,
                               const core::SolveOptions& options);
@@ -221,7 +202,9 @@ class ReclaimEngine {
   template <class KeyFn, class SolveFn>
   core::Solution memoized(const core::Instance& instance, const KeyFn& key_of,
                           const SolveFn& solve);
-  ShapeEntry shape_of(const graph::Digraph& g);
+  /// The topology's graph::analyze with its composition plan attached,
+  /// cached: one analysis per distinct topology.
+  graph::ShapeInfo shape_of(const graph::Digraph& g);
   /// Shared dynamic-chunking drain loop of both solve_batch overloads:
   /// solve_range(lo, hi, out) fills out[lo..hi) (out points at the full
   /// result array); the first exception aborts the batch and is rethrown
@@ -234,10 +217,10 @@ class ReclaimEngine {
   /// Kernel-aware batch driver shared by both solve_batch overloads:
   /// discovers candidate runs on the caller's thread (cheap structural
   /// predicates only), plans them — sharded across the pool when there is
-  /// more than one, each plan reusing the shape cache's classification /
-  /// SP decomposition / composition plan for its head topology — then
-  /// drains through run_batch solving kernel segments in one pass per
-  /// chunk and everything else via solve_scalar.
+  /// more than one, each plan reusing the shape cache's analysis of its
+  /// head topology — then drains through run_batch solving kernel
+  /// segments in one pass per chunk and everything else via
+  /// solve_scalar.
   std::vector<core::Solution> kernel_batch(
       std::size_t n,
       const std::function<const core::Instance&(std::size_t)>& instance_at,
@@ -251,7 +234,7 @@ class ReclaimEngine {
   SolutionCache memo_;  ///< LRU solution memo, shared across clients
 
   mutable util::SharedMutex shape_mutex_;
-  std::unordered_map<std::string, ShapeEntry> shapes_
+  std::unordered_map<std::string, graph::ShapeInfo> shapes_
       RECLAIM_GUARDED_BY(shape_mutex_);
 
   std::atomic<std::size_t> batches_{0};

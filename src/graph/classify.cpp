@@ -60,22 +60,85 @@ bool is_out_tree(const Digraph& g) {
 
 bool is_in_tree(const Digraph& g) { return is_out_tree(g.reversed()); }
 
+namespace {
+
+std::shared_ptr<const CompositionPlan> build_tree_plan(const Digraph& g,
+                                                       bool in_tree) {
+  auto plan = std::make_shared<CompositionPlan>();
+  plan->reversed = in_tree;
+  // Reversal preserves node ids, so weights, power models and speeds keep
+  // their original indexing; only the adjacency flips.
+  const Digraph reversed = in_tree ? g.reversed() : Digraph{};
+  const Digraph& eval = in_tree ? reversed : g;
+
+  auto order = topological_order(eval);
+  util::require(order.has_value(), "tree plan requires a DAG");
+  plan->order = std::move(*order);
+
+  const std::size_t n = eval.num_nodes();
+  plan->child_offset.reserve(n + 1);
+  plan->child_offset.push_back(0);
+  for (NodeId v = 0; v < n; ++v) {
+    const auto& succ = eval.successors(v);
+    plan->child.insert(plan->child.end(), succ.begin(), succ.end());
+    plan->child_offset.push_back(
+        static_cast<std::uint32_t>(plan->child.size()));
+  }
+  plan->roots = eval.sources();
+  return plan;
+}
+
+std::shared_ptr<const CompositionPlan> build_sp_plan(
+    const std::shared_ptr<const SpTree>& tree) {
+  util::require(tree != nullptr, "sp plan requires a decomposition tree");
+  auto plan = std::make_shared<CompositionPlan>();
+  plan->sp_tree = tree;
+  plan->pre_order.reserve(tree->nodes.size());
+  // Siblings left-to-right: children are pushed in reverse.
+  std::vector<std::uint32_t> stack{static_cast<std::uint32_t>(tree->root)};
+  while (!stack.empty()) {
+    const std::uint32_t id = stack.back();
+    stack.pop_back();
+    plan->pre_order.push_back(id);
+    const auto& children = tree->nodes[id].children;
+    for (auto it = children.rbegin(); it != children.rend(); ++it) {
+      stack.push_back(static_cast<std::uint32_t>(*it));
+    }
+  }
+  return plan;
+}
+
+}  // namespace
+
 ShapeInfo analyze(const Digraph& g) {
   util::require(is_acyclic(g), "classify requires a DAG");
-  if (g.num_nodes() == 0) return {GraphShape::kEmpty, nullptr};
-  if (g.num_nodes() == 1) return {GraphShape::kSingleTask, nullptr};
-  if (is_chain(g)) return {GraphShape::kChain, nullptr};
-  if (is_fork(g)) return {GraphShape::kFork, nullptr};
-  if (is_join(g)) return {GraphShape::kJoin, nullptr};
-  if (is_out_tree(g)) return {GraphShape::kOutTree, nullptr};
-  if (is_in_tree(g)) return {GraphShape::kInTree, nullptr};
+  if (g.num_nodes() == 0) return {GraphShape::kEmpty, nullptr, nullptr};
+  if (g.num_nodes() == 1) return {GraphShape::kSingleTask, nullptr, nullptr};
+  if (is_chain(g)) return {GraphShape::kChain, nullptr, nullptr};
+  if (is_fork(g)) return {GraphShape::kFork, nullptr, nullptr};
+  if (is_join(g)) return {GraphShape::kJoin, nullptr, nullptr};
+  if (is_out_tree(g)) return {GraphShape::kOutTree, nullptr, nullptr};
+  if (is_in_tree(g)) return {GraphShape::kInTree, nullptr, nullptr};
   if (auto tree = sp_decompose(g)) {
     return {GraphShape::kSeriesParallel,
-            std::make_shared<const SpTree>(std::move(*tree))};
+            std::make_shared<const SpTree>(std::move(*tree)), nullptr};
   }
-  return {GraphShape::kGeneral, nullptr};
+  return {GraphShape::kGeneral, nullptr, nullptr};
 }
 
 GraphShape classify(const Digraph& g) { return analyze(g).shape; }
+
+std::shared_ptr<const CompositionPlan> composition_plan(const Digraph& g,
+                                                        const ShapeInfo& info) {
+  switch (info.shape) {
+    case GraphShape::kOutTree:
+    case GraphShape::kInTree:
+      return build_tree_plan(g, info.shape == GraphShape::kInTree);
+    case GraphShape::kSeriesParallel:
+      return build_sp_plan(info.sp_tree);
+    default:
+      return nullptr;
+  }
+}
 
 }  // namespace reclaim::graph

@@ -17,14 +17,11 @@
 
 #include "core/analysis.hpp"
 #include "core/baselines.hpp"
-#include "core/continuous/closed_form.hpp"
 #include "core/continuous/dispatch.hpp"
 #include "core/continuous/joint_sleep.hpp"
 #include "core/continuous/numeric_solver.hpp"
 #include "core/continuous/race_to_idle.hpp"
 #include "core/continuous/sleep_dp.hpp"
-#include "core/continuous/sp_solver.hpp"
-#include "core/continuous/tree_solver.hpp"
 #include "core/discrete/chain_dp.hpp"
 #include "core/discrete/exact_bb.hpp"
 #include "core/discrete/round_up.hpp"

@@ -1,8 +1,9 @@
-// Batched fast-path tests: kernel-vs-scalar bit-identity (fuzzed), the
-// kKernelMinRun memo-bypass boundary, the run-of-one route of solve_one,
-// submit and short batch runs, the sleep-DP exclusion, arena scratch reuse
-// (no steady-state allocation growth), and the EngineStats counters that
-// split kernel-path from scalar-path solves.
+// Batched fast-path tests: long runs vs per-instance core::solve
+// bit-identity (fuzzed), the kKernelMinRun memo-bypass boundary, the
+// per-instance route of solve_one, submit and short batch runs, the
+// sleep-DP exclusion, arena scratch reuse (no steady-state allocation
+// growth), and the EngineStats counters that split kernel-answered solves
+// from the rest.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -130,21 +131,22 @@ void expect_batches_identical(std::span<const rc::Instance> instances,
                               const rm::EnergyModel& model,
                               const rc::SolveOptions& options) {
   // threads == 1 takes the fused discover/plan/solve pass, threads > 1
-  // the sharded pass-1/pass-2 pipeline — both must match the scalar path.
+  // the sharded pass-1/pass-2 pipeline — both must match core::solve
+  // instance by instance.
   re::EngineOptions kernel_opts;
   kernel_opts.threads = 1;
   kernel_opts.memoize = false;  // force every instance through a solver
   re::EngineOptions pooled_opts = kernel_opts;
   pooled_opts.threads = 4;
-  re::EngineOptions scalar_opts = kernel_opts;
-  scalar_opts.use_kernels = false;
 
   re::ReclaimEngine with_kernels(kernel_opts);
   re::ReclaimEngine pooled(pooled_opts);
-  re::ReclaimEngine scalar(scalar_opts);
   const auto fast = with_kernels.solve_batch(instances, model, options);
   const auto pooled_fast = pooled.solve_batch(instances, model, options);
-  const auto slow = scalar.solve_batch(instances, model, options);
+  std::vector<rc::Solution> slow;
+  for (const auto& instance : instances) {
+    slow.push_back(rc::solve(instance, model, options));
+  }
   ASSERT_EQ(fast.size(), slow.size());
   ASSERT_EQ(pooled_fast.size(), slow.size());
   for (std::size_t i = 0; i < fast.size(); ++i) {
@@ -152,10 +154,9 @@ void expect_batches_identical(std::span<const rc::Instance> instances,
     expect_identical(fast[i], slow[i]);
     expect_identical(pooled_fast[i], slow[i]);
   }
-  // The sweep is one long homogeneous run: the kernel engine must have
-  // actually taken the fast path, and the scalar engine must not have.
+  // The sweep is one long homogeneous run: the engine must have actually
+  // taken the fast path.
   EXPECT_GT(with_kernels.stats().kernel_solves, 0u);
-  EXPECT_EQ(scalar.stats().kernel_solves, 0u);
 }
 
 }  // namespace
@@ -212,8 +213,9 @@ TEST(BatchKernels, SpSweepBitIdentical) {
 }
 
 TEST(BatchKernels, LeakyTreeAndSpSweepsBitIdenticalUnderReduction) {
-  // Static power engages the s_crit floor: under-floor solutions must
-  // hand back to the scalar path and still match it bit for bit.
+  // Static power engages the s_crit floor: under-floor solutions are
+  // handed back to the barrier and must still match core::solve bit for
+  // bit.
   const rm::EnergyModel cont = rm::ContinuousModel{2.0};
   expect_batches_identical(
       homogeneous_sweep(109, 150, "outtree", rm::StaticPowerLaw(3.0, 0.5)),
@@ -244,8 +246,8 @@ TEST(BatchKernels, SminFloorTreeSweepBitIdentical) {
 }
 
 TEST(BatchKernels, HeteroChainSweepBitIdentical) {
-  // Shared exponent, per-slot P_stat and caps: the hetero chain kernel
-  // must reproduce solve_chain_hetero bit for bit, including the
+  // Shared exponent, per-slot P_stat and caps: long runs of the hetero
+  // chain kernel must match core::solve bit for bit, including the
   // infeasible and hand-back branches on the squeezed instances.
   const rm::EnergyModel cont = rm::ContinuousModel{2.0};
   expect_batches_identical(hetero_chain_sweep(139, 200), cont, {});
@@ -273,7 +275,7 @@ TEST(BatchKernels, SminFloorSweepBitIdentical) {
 TEST(BatchKernels, MixedFamiliesAndStragglersBitIdentical) {
   // Alternate runs of chains and forks with a general DAG wedged between
   // them: the planner must segment runs correctly and hand the stencil to
-  // the scalar path.
+  // core::solve.
   ru::Rng rng(43);
   std::vector<rc::Instance> instances;
   const auto chains = homogeneous_sweep(47, 20, "chain", rm::PowerLaw(3.0));
@@ -319,8 +321,8 @@ TEST(BatchKernels, PlannerRejectsIneligibleInstances) {
   const auto chain_inst = rc::make_instance(std::move(chain), 10.0, 3.0);
   EXPECT_FALSE(rc::plan_kernel(chain_inst, discrete, options).has_value());
 
-  // Joins are in-trees structurally but route to solve_join in the scalar
-  // dispatcher — the kernel planner must refuse them the same way.
+  // Joins are in-trees structurally, but solve_continuous answers them
+  // with the fork kernel on the reversed graph — they do not plan.
   const auto join =
       rc::make_instance(rg::make_join({1.0, 2.0, 3.0}), 50.0, 3.0);
   EXPECT_FALSE(rc::plan_kernel(join, cont, options).has_value());
@@ -340,7 +342,7 @@ TEST(BatchKernels, PlannerRejectsIneligibleInstances) {
   EXPECT_TRUE(rc::plan_kernel(sp, cont, options).has_value());
 }
 
-TEST(BatchKernels, HeteroPlannerRequiresSharedExponentAndReduction) {
+TEST(BatchKernels, HeteroPlanRequiresReductionAndHandsBackMixedExponents) {
   const rm::EnergyModel cont = rm::ContinuousModel{2.0};
   const rc::SolveOptions options;
 
@@ -351,14 +353,63 @@ TEST(BatchKernels, HeteroPlannerRequiresSharedExponentAndReduction) {
   EXPECT_TRUE(plan->hetero);
   EXPECT_EQ(plan->family, rc::KernelFamily::kChain);
 
-  // Mixed exponents fall to the scalar path (solve_chain_hetero's own
-  // mixed-alpha bailout), as does LeakageMode::kExact (the hetero exact
-  // route is the numeric one).
+  // Mixed exponents plan too, but the kernel checks the weighted tasks'
+  // exponents per instance and hands these back to the barrier.
   const auto mixed = hetero_chain_sweep(151, 1, 3.0, 2.5).front();
-  EXPECT_FALSE(rc::plan_kernel(mixed, cont, options).has_value());
+  const auto mixed_plan = rc::plan_kernel(mixed, cont, options);
+  ASSERT_TRUE(mixed_plan.has_value());
+  const rc::Instance* const ptr = &mixed;
+  rc::Solution out;
+  rc::solve_kernel_run(*mixed_plan, &ptr, 1, &out);
+  EXPECT_TRUE(out.method.empty());
+  EXPECT_EQ(rc::solve(mixed, cont, options).method, "numeric-barrier");
+
+  // LeakageMode::kExact stays off the kernels (the hetero exact route is
+  // the numeric one).
   rc::SolveOptions exact;
   exact.leakage = rc::LeakageMode::kExact;
   EXPECT_FALSE(rc::plan_kernel(shared, cont, exact).has_value());
+}
+
+TEST(BatchKernels, HeteroChainsWithMixedSlotExponentsKeepTheirAnswers) {
+  // Three slots, the third with another exponent. Pinned answers: while
+  // only zero-weight tasks sit on the odd slot the weighted tasks share
+  // one exponent and keep the equal-speed closed form (W/D = 0.9 clears
+  // both s_crit floors and caps); a weighted task there sends the chain
+  // to the barrier.
+  const rm::Platform platform({{rm::make_power_model(3.0, 0.2), 2.0},
+                               {rm::make_power_model(3.0, 0.6), 1.2},
+                               {rm::make_power_model(2.5, 0.1), 1.5}});
+  const std::vector<std::size_t> assignment{0, 1, 2, 0};
+  const rm::EnergyModel cont = rm::ContinuousModel{2.0};
+
+  const auto shared = rc::make_instance(rg::make_chain({1.0, 2.0, 0.0, 1.5}),
+                                        5.0, platform, assignment);
+  const auto mixed = rc::make_instance(rg::make_chain({1.0, 2.0, 1.0, 1.5}),
+                                       5.0, platform, assignment);
+  re::ReclaimEngine engine({.threads = 1});
+  for (const auto& s :
+       {rc::solve(shared, cont), engine.solve_one(shared, cont)}) {
+    EXPECT_TRUE(s.feasible);
+    EXPECT_EQ(s.method, "closed-form-chain");
+    EXPECT_EQ(s.energy, 0x1.622b3c4d5e6f8p+2);
+    const std::vector<double> speeds{0x1.ccccccccccccdp-1,
+                                     0x1.ccccccccccccdp-1, 0.0,
+                                     0x1.ccccccccccccdp-1};
+    EXPECT_EQ(s.speeds, speeds);
+  }
+  for (const auto& s :
+       {rc::solve(mixed, cont), engine.solve_one(mixed, cont)}) {
+    EXPECT_TRUE(s.feasible);
+    EXPECT_EQ(s.method, "numeric-barrier");
+    EXPECT_NEAR(s.energy, 8.2240972852855379, 1e-10);
+    const double speeds[] = {1.0756782605557837, 1.0756782605532309,
+                             1.2246003087465891, 1.0756782605568231};
+    ASSERT_EQ(s.speeds.size(), 4u);
+    for (std::size_t v = 0; v < 4; ++v) {
+      EXPECT_NEAR(s.speeds[v], speeds[v], 1e-8);
+    }
+  }
 }
 
 TEST(BatchKernels, RunCompatibilityIsPerSlotOnHeteroPlatforms) {
@@ -396,8 +447,9 @@ TEST(BatchKernels, ShortRunsAreKernelSolvedBehindTheMemo) {
   // A run of kKernelMinRun compatible instances is a sweep of distinct
   // instances: planned once, kernel-solved, and kept out of the memo. One
   // fewer goes through the memo instance by instance, and each miss is a
-  // kernel run of one. Pinned on both kernel_batch branches: the fused
-  // 1-thread pass and the pooled discover/plan pipeline.
+  // core::solve — a kernel run of one. Pinned on both kernel_batch
+  // branches: the fused 1-thread pass and the pooled discover/plan
+  // pipeline.
   const rm::EnergyModel cont = rm::ContinuousModel{2.0};
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
@@ -436,8 +488,8 @@ TEST(BatchKernels, StatsCountKernelSolves) {
 }
 
 TEST(BatchKernels, StatsSplitKernelSolvesPerFamily) {
-  // One run per family, no squeezed deadlines (hand-backs would land in
-  // the scalar counters): the per-family split must tile kernel_solves.
+  // One run per family, no squeezed deadlines (hand-backs would not
+  // count): the per-family split must tile kernel_solves.
   std::vector<rc::Instance> instances;
   for (const char* family : {"single", "chain", "fork", "outtree", "sp"}) {
     auto sweep = homogeneous_sweep(211, 10, family, rm::PowerLaw(3.0), 0.0);
@@ -618,8 +670,8 @@ TEST(BatchKernels, RunOfOneRepeatIsAMemoHit) {
 
 TEST(BatchKernels, RunOfOneHandBackMatchesCoreSolve) {
   // Leaky forks whose closed form violates the s_crit floor are planned
-  // but handed back by the kernel; the route must fall through to
-  // core::solve and count no kernel solve for them.
+  // but handed back by the kernel; core::solve answers them with the
+  // barrier, and the engine counts no kernel solve for them.
   const rm::EnergyModel cont = rm::ContinuousModel{2.0};
   const auto sweep =
       homogeneous_sweep(421, 60, "fork", rm::StaticPowerLaw(3.0, 0.8));
@@ -639,22 +691,6 @@ TEST(BatchKernels, RunOfOneHandBackMatchesCoreSolve) {
     EXPECT_EQ(engine.stats().fresh_solves, 1u);
   }
   EXPECT_GT(handed_back, 0u);
-}
-
-TEST(BatchKernels, NoKernelsEngineNeverTakesTheRunOfOneRoute) {
-  const rm::EnergyModel cont = rm::ContinuousModel{2.0};
-  for (const auto& c : route_cases()) {
-    SCOPED_TRACE(c.name);
-    re::ReclaimEngine engine({.threads = 1, .use_kernels = false});
-    for (const auto& instance : c.instances) {
-      expect_identical(engine.solve_one(instance, cont, c.options),
-                       rc::solve(instance, cont, c.options));
-    }
-    (void)engine.solve_batch(interleave_runs_of_one(c.instances), cont,
-                             c.options);
-    (void)engine.solve_batch(c.instances, cont, c.options);
-    EXPECT_EQ(engine.stats().kernel_solves, 0u);
-  }
 }
 
 // ------------------------------------------------------ sleep-DP exclusion

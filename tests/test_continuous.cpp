@@ -6,16 +6,15 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "core/baselines.hpp"
-#include "core/continuous/closed_form.hpp"
+#include "core/continuous/batch_kernels.hpp"
 #include "core/continuous/dispatch.hpp"
 #include "core/continuous/numeric_solver.hpp"
-#include "core/continuous/sp_solver.hpp"
-#include "core/continuous/tree_solver.hpp"
 #include "core/problem.hpp"
 #include "graph/generators.hpp"
 #include "graph/sp_tree.hpp"
@@ -44,11 +43,58 @@ void expect_feasible_under(const rc::Instance& instance, const rc::Solution& s,
               1e-9 * (1.0 + s.energy));
 }
 
+/// `shape`'s kernel forced onto the instance's graph, which may be of a
+/// more special shape (the SP kernel on a fork, the tree kernel on a
+/// chain): the cross-family checks below compare two closed forms that
+/// must agree. `s_max` caps the speeds; no floor applies, so nothing is
+/// handed back.
+rc::Solution solve_as(const rc::Instance& instance, double s_max,
+                      rg::GraphShape shape) {
+  rg::ShapeInfo hint;
+  hint.shape = shape;
+  if (shape == rg::GraphShape::kSeriesParallel) {
+    auto tree = rg::sp_decompose(instance.exec_graph);
+    EXPECT_TRUE(tree.has_value());
+    if (!tree) return {};
+    hint.sp_tree = std::make_shared<const rg::SpTree>(std::move(*tree));
+  }
+  const auto plan =
+      rc::plan_kernel(instance, rm::ContinuousModel{s_max}, {}, &hint);
+  EXPECT_TRUE(plan.has_value());
+  if (!plan) return {};
+  const rc::Instance* const ptr = &instance;
+  rc::Solution out;
+  rc::solve_kernel_run(*plan, &ptr, 1, &out);
+  return out;
+}
+
+/// Equivalent weight of the decomposition subtree at `id` (Theorem 2's
+/// l_alpha algebra, transcribed independently of the kernels): series
+/// children add, parallel children combine as (sum w^alpha)^(1/alpha).
+double sp_equivalent_weight(const rg::Digraph& g, const rg::SpTree& tree,
+                            std::size_t id, double alpha) {
+  const auto& node = tree.nodes[id];
+  double sum = 0.0;
+  switch (node.kind) {
+    case rg::SpKind::kLeaf:
+      return node.task == rg::kNoNode ? 0.0 : g.weight(node.task);
+    case rg::SpKind::kSeries:
+      for (std::size_t c : node.children)
+        sum += sp_equivalent_weight(g, tree, c, alpha);
+      return sum;
+    case rg::SpKind::kParallel:
+      for (std::size_t c : node.children)
+        sum += std::pow(sp_equivalent_weight(g, tree, c, alpha), alpha);
+      return std::pow(sum, 1.0 / alpha);
+  }
+  return 0.0;
+}
+
 }  // namespace
 
 TEST(ClosedForm, SingleTask) {
   auto instance = rc::make_instance(rg::make_chain({6.0}), 3.0);
-  const auto s = rc::solve_single(instance, rm::ContinuousModel{kInf});
+  const auto s = rc::solve_continuous(instance, rm::ContinuousModel{kInf});
   ASSERT_TRUE(s.feasible);
   EXPECT_NEAR(s.speeds[0], 2.0, 1e-12);
   EXPECT_NEAR(s.energy, 6.0 * 4.0, 1e-12);  // w s^2
@@ -56,13 +102,13 @@ TEST(ClosedForm, SingleTask) {
 
 TEST(ClosedForm, SingleTaskInfeasible) {
   auto instance = rc::make_instance(rg::make_chain({6.0}), 1.0);
-  const auto s = rc::solve_single(instance, rm::ContinuousModel{2.0});
+  const auto s = rc::solve_continuous(instance, rm::ContinuousModel{2.0});
   EXPECT_FALSE(s.feasible);
 }
 
 TEST(ClosedForm, ChainUsesOneSpeed) {
   auto instance = rc::make_instance(rg::make_chain({1.0, 2.0, 3.0}), 3.0);
-  const auto s = rc::solve_chain(instance, rm::ContinuousModel{kInf});
+  const auto s = rc::solve_continuous(instance, rm::ContinuousModel{kInf});
   ASSERT_TRUE(s.feasible);
   for (double v : s.speeds) EXPECT_NEAR(v, 2.0, 1e-12);
   EXPECT_NEAR(s.energy, 6.0 * 4.0, 1e-12);
@@ -71,15 +117,17 @@ TEST(ClosedForm, ChainUsesOneSpeed) {
 
 TEST(ClosedForm, ChainRespectsSmax) {
   auto instance = rc::make_instance(rg::make_chain({1.0, 2.0, 3.0}), 3.0);
-  EXPECT_FALSE(rc::solve_chain(instance, rm::ContinuousModel{1.5}).feasible);
-  EXPECT_TRUE(rc::solve_chain(instance, rm::ContinuousModel{2.0}).feasible);
+  EXPECT_FALSE(
+      rc::solve_continuous(instance, rm::ContinuousModel{1.5}).feasible);
+  EXPECT_TRUE(
+      rc::solve_continuous(instance, rm::ContinuousModel{2.0}).feasible);
 }
 
 TEST(ClosedForm, ForkMatchesTheorem1) {
   // Thm 1: s_0 = ((sum w_i^3)^(1/3) + w_0)/D, s_i = s_0 w_i / l.
   const std::vector<double> w{2.0, 1.0, 2.0, 3.0};
   auto instance = rc::make_instance(rg::make_fork(w), 5.0);
-  const auto s = rc::solve_fork(instance, rm::ContinuousModel{kInf});
+  const auto s = rc::solve_continuous(instance, rm::ContinuousModel{kInf});
   ASSERT_TRUE(s.feasible);
   const double l = std::cbrt(1.0 + 8.0 + 27.0);
   const double s0 = (l + 2.0) / 5.0;
@@ -101,7 +149,7 @@ TEST(ClosedForm, ForkSaturatedBranch) {
   const std::vector<double> w{4.0, 0.9, 0.8};
   auto tight = rc::make_instance(rg::make_fork(w), 2.5);
   const rm::ContinuousModel capped{2.0};
-  const auto s = rc::solve_fork(tight, capped);
+  const auto s = rc::solve_continuous(tight, capped);
   ASSERT_TRUE(s.feasible);
   EXPECT_NEAR(s.speeds[0], 2.0, 1e-12);
   const double leaf_window = 2.5 - 4.0 / 2.0;
@@ -111,16 +159,19 @@ TEST(ClosedForm, ForkSaturatedBranch) {
 }
 
 TEST(ClosedForm, ForkSaturatedInfeasible) {
-  // Even the saturated branch cannot fit: leaves would exceed s_max.
+  // Even the saturated branch cannot fit: leaves would exceed s_max. (A
+  // two-node fork is a chain to the classifier; force the fork kernel.)
   const std::vector<double> w{4.0, 3.0};
   auto instance = rc::make_instance(rg::make_fork(w), 2.5);
-  EXPECT_FALSE(rc::solve_fork(instance, rm::ContinuousModel{2.0}).feasible);
+  const auto s = solve_as(instance, 2.0, rg::GraphShape::kFork);
+  EXPECT_EQ(s.method, "closed-form-fork");
+  EXPECT_FALSE(s.feasible);
 }
 
 TEST(ClosedForm, ForkWithZeroWeightLeaves) {
   const std::vector<double> w{2.0, 0.0, 3.0};
   auto instance = rc::make_instance(rg::make_fork(w), 4.0);
-  const auto s = rc::solve_fork(instance, rm::ContinuousModel{kInf});
+  const auto s = rc::solve_continuous(instance, rm::ContinuousModel{kInf});
   ASSERT_TRUE(s.feasible);
   EXPECT_DOUBLE_EQ(s.speeds[1], 0.0);
   expect_feasible_under(instance, s, kInf);
@@ -130,9 +181,10 @@ TEST(ClosedForm, JoinMirrorsFork) {
   const std::vector<double> w{2.0, 1.0, 2.0, 3.0};
   auto fork_instance = rc::make_instance(rg::make_fork(w), 5.0);
   auto join_instance = rc::make_instance(rg::make_join(w), 5.0);
-  const auto f = rc::solve_fork(fork_instance, rm::ContinuousModel{kInf});
-  const auto j = rc::solve_join(join_instance, rm::ContinuousModel{kInf});
+  const auto f = rc::solve_continuous(fork_instance, rm::ContinuousModel{kInf});
+  const auto j = rc::solve_continuous(join_instance, rm::ContinuousModel{kInf});
   ASSERT_TRUE(f.feasible && j.feasible);
+  EXPECT_EQ(j.method, "closed-form-join");
   EXPECT_NEAR(f.energy, j.energy, 1e-12);
   for (std::size_t i = 0; i < w.size(); ++i)
     EXPECT_NEAR(f.speeds[i], j.speeds[i], 1e-12);
@@ -142,22 +194,26 @@ TEST(ClosedForm, JoinMirrorsFork) {
 TEST(SpSolver, ForkAgreesWithClosedForm) {
   const std::vector<double> w{2.0, 1.0, 2.0, 3.0};
   auto instance = rc::make_instance(rg::make_fork(w), 5.0);
-  const auto closed = rc::solve_fork(instance, rm::ContinuousModel{kInf});
-  const auto sp = rc::solve_sp(instance);
+  const auto closed = rc::solve_continuous(instance, rm::ContinuousModel{kInf});
+  const auto sp = solve_as(instance, kInf, rg::GraphShape::kSeriesParallel);
   ASSERT_TRUE(sp.feasible);
+  EXPECT_EQ(sp.method, "series-parallel");
   EXPECT_NEAR(sp.energy, closed.energy, 1e-10);
   for (std::size_t i = 0; i < w.size(); ++i)
     EXPECT_NEAR(sp.speeds[i], closed.speeds[i], 1e-10);
 }
 
 TEST(SpSolver, EquivalentWeightOfFork) {
+  // W_eq = w0 + (1 + 8 + 27)^(1/3), and the optimum is W_eq^3 / D^2.
   const std::vector<double> w{2.0, 1.0, 2.0, 3.0};
   const auto g = rg::make_fork(w);
   const auto tree = rg::sp_decompose(g);
   ASSERT_TRUE(tree.has_value());
-  const double weq =
-      rc::sp_equivalent_weight(g, *tree, rm::PowerLaw(3.0));
+  const double weq = sp_equivalent_weight(g, *tree, tree->root, 3.0);
   EXPECT_NEAR(weq, 2.0 + std::cbrt(36.0), 1e-12);
+  const auto s = solve_as(rc::make_instance(g, 5.0), kInf,
+                          rg::GraphShape::kSeriesParallel);
+  EXPECT_NEAR(s.energy, std::pow(weq, 3.0) / 25.0, 1e-12 * s.energy);
 }
 
 TEST(SpSolver, EnergyIsWeqFormula) {
@@ -166,8 +222,8 @@ TEST(SpSolver, EnergyIsWeqFormula) {
   auto instance = rc::make_instance(g, 20.0);
   const auto tree = rg::sp_decompose(g);
   ASSERT_TRUE(tree.has_value());
-  const auto s = rc::solve_sp(instance, *tree);
-  const double weq = rc::sp_equivalent_weight(g, *tree, instance.power());
+  const auto s = solve_as(instance, kInf, rg::GraphShape::kSeriesParallel);
+  const double weq = sp_equivalent_weight(g, *tree, tree->root, 3.0);
   EXPECT_NEAR(s.energy, std::pow(weq, 3.0) / (20.0 * 20.0),
               1e-9 * (1.0 + s.energy));
   expect_feasible_under(instance, s, kInf);
@@ -177,16 +233,17 @@ TEST(SpSolver, DeadlineSaturatedAtOptimum) {
   Rng rng(12);
   const auto g = rg::make_fork_join_chain(3, 3, rng);
   auto instance = rc::make_instance(g, 30.0);
-  const auto s = rc::solve_sp(instance);
+  const auto s = solve_as(instance, kInf, rg::GraphShape::kSeriesParallel);
   const auto durations = rs::durations_from_speeds(g, s.speeds);
   EXPECT_NEAR(rs::compute_timing(g, durations).makespan, 30.0, 1e-8);
 }
 
 TEST(TreeSolver, ChainAgreesWithClosedForm) {
   auto instance = rc::make_instance(rg::make_chain({1.0, 2.0, 3.0}), 3.0);
-  const auto chain = rc::solve_chain(instance, rm::ContinuousModel{kInf});
-  const auto tree = rc::solve_tree(instance, rm::ContinuousModel{kInf});
+  const auto chain = rc::solve_continuous(instance, rm::ContinuousModel{kInf});
+  const auto tree = solve_as(instance, kInf, rg::GraphShape::kOutTree);
   ASSERT_TRUE(tree.feasible);
+  EXPECT_EQ(tree.method, "tree");
   EXPECT_NEAR(tree.energy, chain.energy, 1e-10);
 }
 
@@ -195,8 +252,9 @@ TEST(TreeSolver, ForkAgreesWithClosedFormIncludingSaturation) {
   for (double deadline : {2.4, 3.0, 5.0}) {
     auto instance = rc::make_instance(rg::make_fork(w), deadline);
     for (double cap : {2.0, 3.0, kInf}) {
-      const auto closed = rc::solve_fork(instance, rm::ContinuousModel{cap});
-      const auto tree = rc::solve_tree(instance, rm::ContinuousModel{cap});
+      const auto closed =
+          rc::solve_continuous(instance, rm::ContinuousModel{cap});
+      const auto tree = solve_as(instance, cap, rg::GraphShape::kOutTree);
       ASSERT_EQ(closed.feasible, tree.feasible)
           << "D=" << deadline << " cap=" << cap;
       if (!closed.feasible) continue;
@@ -212,8 +270,8 @@ TEST(TreeSolver, InTreeMirrorsOutTree) {
   const auto out = rg::make_random_out_tree(25, rng);
   auto out_instance = rc::make_instance(out, 30.0);
   auto in_instance = rc::make_instance(out.reversed(), 30.0);
-  const auto a = rc::solve_tree(out_instance, rm::ContinuousModel{2.0});
-  const auto b = rc::solve_tree(in_instance, rm::ContinuousModel{2.0});
+  const auto a = rc::solve_continuous(out_instance, rm::ContinuousModel{2.0});
+  const auto b = rc::solve_continuous(in_instance, rm::ContinuousModel{2.0});
   ASSERT_EQ(a.feasible, b.feasible);
   if (a.feasible) {
     EXPECT_NEAR(a.energy, b.energy, 1e-9 * (1.0 + a.energy));
@@ -225,7 +283,7 @@ TEST(TreeSolver, SpeedsDecreaseDownTheTree) {
   Rng rng(14);
   const auto g = rg::make_random_out_tree(30, rng);
   auto instance = rc::make_instance(g, 40.0);
-  const auto s = rc::solve_tree(instance, rm::ContinuousModel{kInf});
+  const auto s = rc::solve_continuous(instance, rm::ContinuousModel{kInf});
   ASSERT_TRUE(s.feasible);
   for (const auto& e : g.edges()) {
     if (g.weight(e.from) == 0.0 || g.weight(e.to) == 0.0) continue;
@@ -238,7 +296,8 @@ TEST(TreeSolver, InfeasibleWhenDeadlineBelowCriticalPath) {
   const auto g = rg::make_random_out_tree(20, rng);
   const double d_min = rc::min_deadline(g, 2.0);
   auto instance = rc::make_instance(g, 0.8 * d_min);
-  EXPECT_FALSE(rc::solve_tree(instance, rm::ContinuousModel{2.0}).feasible);
+  EXPECT_FALSE(
+      rc::solve_continuous(instance, rm::ContinuousModel{2.0}).feasible);
 }
 
 TEST(NumericSolver, SingleTaskMatchesClosedForm) {
@@ -252,7 +311,7 @@ TEST(NumericSolver, SingleTaskMatchesClosedForm) {
 TEST(NumericSolver, ForkMatchesTheorem1) {
   const std::vector<double> w{2.0, 1.0, 2.0, 3.0};
   auto instance = rc::make_instance(rg::make_fork(w), 5.0);
-  const auto closed = rc::solve_fork(instance, rm::ContinuousModel{kInf});
+  const auto closed = rc::solve_continuous(instance, rm::ContinuousModel{kInf});
   const auto numeric = rc::solve_numeric(instance, rm::ContinuousModel{kInf});
   ASSERT_TRUE(numeric.feasible);
   EXPECT_NEAR(numeric.energy, closed.energy, 1e-5 * closed.energy);
@@ -264,7 +323,7 @@ TEST(NumericSolver, ForkSaturatedMatchesClosedForm) {
   const std::vector<double> w{4.0, 0.9, 0.8};
   auto instance = rc::make_instance(rg::make_fork(w), 2.5);
   const rm::ContinuousModel capped{2.0};
-  const auto closed = rc::solve_fork(instance, capped);
+  const auto closed = rc::solve_continuous(instance, capped);
   const auto numeric = rc::solve_numeric(instance, capped);
   ASSERT_TRUE(closed.feasible && numeric.feasible);
   EXPECT_NEAR(numeric.energy, closed.energy, 1e-5 * closed.energy);
@@ -277,7 +336,7 @@ TEST(NumericSolver, TreeAgreement) {
     const auto g = rg::make_random_out_tree(12, rng);
     const double d = rc::min_deadline(g, 2.0) * rng.uniform(1.2, 3.0);
     auto instance = rc::make_instance(g, d);
-    const auto tree = rc::solve_tree(instance, rm::ContinuousModel{2.0});
+    const auto tree = rc::solve_continuous(instance, rm::ContinuousModel{2.0});
     const auto numeric = rc::solve_numeric(instance, rm::ContinuousModel{2.0});
     ASSERT_TRUE(tree.feasible && numeric.feasible) << "trial " << trial;
     EXPECT_NEAR(numeric.energy, tree.energy, 2e-5 * tree.energy)
@@ -290,7 +349,7 @@ TEST(NumericSolver, SpAgreement) {
   for (int trial = 0; trial < 5; ++trial) {
     const auto g = rg::make_random_series_parallel(10, rng);
     auto instance = rc::make_instance(g, 25.0);
-    const auto sp = rc::solve_sp(instance);
+    const auto sp = solve_as(instance, kInf, rg::GraphShape::kSeriesParallel);
     const auto numeric = rc::solve_numeric(instance, rm::ContinuousModel{kInf});
     ASSERT_TRUE(sp.feasible && numeric.feasible);
     EXPECT_NEAR(numeric.energy, sp.energy, 2e-5 * sp.energy) << "trial " << trial;
@@ -424,7 +483,8 @@ TEST(Dispatch, GeneralizedExponentAgreement) {
   for (double alpha : {1.5, 2.0, 2.5}) {
     const double d = rc::min_deadline(g, 2.0) * 2.0;
     auto instance = rc::make_instance(g, d, alpha);
-    const auto closed = rc::solve_fork(instance, rm::ContinuousModel{kInf});
+    const auto closed =
+        rc::solve_continuous(instance, rm::ContinuousModel{kInf});
     rc::ContinuousOptions force;
     force.force_numeric = true;
     const auto numeric =
@@ -464,7 +524,8 @@ TEST(DeadlineTight, ExactlyTightChainIsFeasibleOnEveryPath) {
   const double deadline = g.total_weight() / s_max;
 
   auto instance = rc::make_instance(g, deadline);
-  const auto closed = rc::solve_chain(instance, rm::ContinuousModel{s_max});
+  const auto closed =
+      rc::solve_continuous(instance, rm::ContinuousModel{s_max});
   ASSERT_TRUE(closed.feasible);
   for (rg::NodeId v = 0; v < g.num_nodes(); ++v) {
     EXPECT_LE(closed.speeds[v], s_max);  // clamped, never above the cap
@@ -485,7 +546,7 @@ TEST(DeadlineTight, ExactlyTightChainIsFeasibleOnEveryPath) {
 
 TEST(DeadlineTight, ExactlyTightSingleTaskAndFork) {
   const auto single = rc::make_instance(rg::make_chain({7.0}), 7.0 / 1.7);
-  const auto s1 = rc::solve_single(single, rm::ContinuousModel{1.7});
+  const auto s1 = rc::solve_continuous(single, rm::ContinuousModel{1.7});
   ASSERT_TRUE(s1.feasible);
   EXPECT_LE(s1.speeds[0], 1.7);
 
@@ -499,7 +560,7 @@ TEST(DeadlineTight, ExactlyTightSingleTaskAndFork) {
   fork.add_edge(root, l2);
   const double deadline = 2.0 / 2.0 + 1.0 / 2.0;  // root + leaves at s_max
   const auto instance = rc::make_instance(fork, deadline);
-  const auto s2 = rc::solve_fork(instance, rm::ContinuousModel{2.0});
+  const auto s2 = rc::solve_continuous(instance, rm::ContinuousModel{2.0});
   ASSERT_TRUE(s2.feasible);
   for (double v : s2.speeds) EXPECT_LE(v, 2.0);
 }
@@ -539,7 +600,7 @@ TEST(NumericSolver, ThousandTaskOutTreesMatchTreeSolver) {
     force.force_numeric = true;
     const auto numeric =
         rc::solve_continuous(instance, rm::ContinuousModel{2.0}, force);
-    const auto tree = rc::solve_tree(instance, rm::ContinuousModel{2.0});
+    const auto tree = rc::solve_continuous(instance, rm::ContinuousModel{2.0});
     ASSERT_TRUE(numeric.feasible && tree.feasible) << "trial " << trial;
     EXPECT_EQ(numeric.method, "numeric-barrier");
     EXPECT_NEAR(numeric.energy, tree.energy, 1e-9 * tree.energy)

@@ -10,7 +10,6 @@
 #include <limits>
 #include <vector>
 
-#include "core/continuous/closed_form.hpp"
 #include "core/continuous/dispatch.hpp"
 #include "core/discrete/exact_bb.hpp"
 #include "core/problem.hpp"

@@ -6,7 +6,6 @@
 #include <cmath>
 
 #include "core/baselines.hpp"
-#include "core/continuous/closed_form.hpp"
 #include "core/continuous/dispatch.hpp"
 #include "core/discrete/exact_bb.hpp"
 #include "core/problem.hpp"
@@ -24,14 +23,14 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 TEST(Golden, SingleTaskEnergyIsWCubedOverDSquared) {
   // E = w^3 / D^2 = 27 / 4.
   auto instance = rc::make_instance(rg::make_chain({3.0}), 2.0);
-  const auto s = rc::solve_single(instance, rm::ContinuousModel{kInf});
+  const auto s = rc::solve_continuous(instance, rm::ContinuousModel{kInf});
   EXPECT_DOUBLE_EQ(s.energy, 27.0 / 4.0);
 }
 
 TEST(Golden, TwoTaskChain) {
   // Chain {1, 2}, D = 3: speed 1, E = 1*1 + 2*1 = 3.
   auto instance = rc::make_instance(rg::make_chain({1.0, 2.0}), 3.0);
-  const auto s = rc::solve_chain(instance, rm::ContinuousModel{kInf});
+  const auto s = rc::solve_continuous(instance, rm::ContinuousModel{kInf});
   EXPECT_DOUBLE_EQ(s.energy, 3.0);
 }
 
@@ -39,7 +38,7 @@ TEST(Golden, UnitForkTheoremOneNumbers) {
   // Fork w0 = 1 with two unit leaves, D = 2:
   // l = 2^(1/3); s0 = (2^(1/3) + 1)/2; s_i = s0/2^(1/3).
   auto instance = rc::make_instance(rg::make_fork({1.0, 1.0, 1.0}), 2.0);
-  const auto s = rc::solve_fork(instance, rm::ContinuousModel{kInf});
+  const auto s = rc::solve_continuous(instance, rm::ContinuousModel{kInf});
   const double l = std::cbrt(2.0);
   const double s0 = (l + 1.0) / 2.0;
   EXPECT_NEAR(s.speeds[0], s0, 1e-14);
@@ -148,7 +147,7 @@ TEST(Golden, SaturatedForkExactNumbers) {
   // Fork {4; 0.9, 0.8}, D = 2.5, s_max = 2 (the E1/E2 saturated case):
   // s0 = 2, window = 0.5, E = 4*4 + 0.9*(1.8)^2 + 0.8*(1.6)^2.
   auto instance = rc::make_instance(rg::make_fork({4.0, 0.9, 0.8}), 2.5);
-  const auto s = rc::solve_fork(instance, rm::ContinuousModel{2.0});
+  const auto s = rc::solve_continuous(instance, rm::ContinuousModel{2.0});
   ASSERT_TRUE(s.feasible);
   EXPECT_NEAR(s.energy, 16.0 + 0.9 * 3.24 + 0.8 * 2.56, 1e-12);
 }
@@ -156,10 +155,10 @@ TEST(Golden, SaturatedForkExactNumbers) {
 TEST(Golden, AlphaTwoChain) {
   // alpha = 2: E = sum w * s. Chain {1, 2}, D = 3 -> speed 1, E = 3.
   auto instance = rc::make_instance(rg::make_chain({1.0, 2.0}), 3.0, 2.0);
-  const auto s = rc::solve_chain(instance, rm::ContinuousModel{kInf});
+  const auto s = rc::solve_continuous(instance, rm::ContinuousModel{kInf});
   EXPECT_DOUBLE_EQ(s.energy, 3.0);
   // Tighter deadline D = 1.5 -> speed 2, E = 6 (linear in speed).
   auto tight = rc::make_instance(rg::make_chain({1.0, 2.0}), 1.5, 2.0);
-  const auto t = rc::solve_chain(tight, rm::ContinuousModel{kInf});
+  const auto t = rc::solve_continuous(tight, rm::ContinuousModel{kInf});
   EXPECT_DOUBLE_EQ(t.energy, 6.0);
 }

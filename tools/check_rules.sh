@@ -26,13 +26,12 @@
 #
 #   4. engine-route: no src/engine/*.{cpp,hpp} includes core/discrete/,
 #      core/vdd/, core/continuous/dispatch.hpp, core/continuous/sleep_dp.hpp
-#      or a continuous family solver (core/continuous/closed_form.hpp,
-#      tree_solver.hpp, sp_solver.hpp, numeric_solver.hpp, waterfill.hpp).
-#      The engine is caches and kernels around core::solve: it reaches a
-#      closed form only through core::solve or the batched kernels, and
-#      routing to a family's solver lives in core::solve alone. A second
-#      dispatcher in the engine once drifted from it and answered long
-#      discrete chains differently.
+#      or a continuous family solver (core/continuous/numeric_solver.hpp,
+#      waterfill.hpp). The engine is caches and kernels around
+#      core::solve: it reaches a closed form only through core::solve or
+#      the batched kernels, and routing to a family's solver lives in
+#      core::solve alone. A second dispatcher in the engine once drifted
+#      from it and answered long discrete chains differently.
 #
 # Usage: tools/check_rules.sh            lint the repo
 #        tools/check_rules.sh --self-test
@@ -167,7 +166,7 @@ rule_float_eq() {
 rule_engine_route() {
   local hits
   hits=$(grep -nE \
-      '#include "core/(discrete/|vdd/|continuous/(dispatch|sleep_dp|closed_form|tree_solver|sp_solver|numeric_solver|waterfill)\.hpp)' \
+      '#include "core/(discrete/|vdd/|continuous/(dispatch|sleep_dp|numeric_solver|waterfill)\.hpp)' \
       "$root"/src/engine/*.cpp "$root"/src/engine/*.hpp 2>/dev/null)
   if [ -n "$hits" ]; then
     while IFS= read -r hit; do
@@ -206,11 +205,11 @@ self_test() {
   printf 'bool injected(double x) { return x == 1.5; }\n' \
       > "$scratch/src/core/injected.cpp"
   # 4. an engine source reaching past core::solve to a family solver, and
-  #    an engine header reaching a continuous closed form directly
+  #    an engine header reaching a continuous solver directly
   printf '#include "core/discrete/chain_dp.hpp"\n' \
       > "$scratch/src/engine/injected_route.cpp"
-  printf '#include "core/continuous/closed_form.hpp"\n' \
-      > "$scratch/src/engine/injected_closed_form.hpp"
+  printf '#include "core/continuous/waterfill.hpp"\n' \
+      > "$scratch/src/engine/injected_waterfill.hpp"
 
   local out status
   out=$(RULES_ROOT="$scratch" "$0" 2>&1)
@@ -227,7 +226,7 @@ self_test() {
       || { echo "self-test: float-eq rule did not fire"; ok=0; }
   echo "$out" | grep -q 'engine-route: .*injected_route\.cpp' \
       || { echo "self-test: engine-route rule did not fire"; ok=0; }
-  echo "$out" | grep -q 'engine-route: .*injected_closed_form\.hpp' \
+  echo "$out" | grep -q 'engine-route: .*injected_waterfill\.hpp' \
       || { echo "self-test: engine-route rule did not fire on a header"; ok=0; }
 
   # And the real tree must pass, or the gate blocks every PR.

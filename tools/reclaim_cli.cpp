@@ -140,7 +140,6 @@ int cmd_solve_batch(const Args& args) {
 
   engine::EngineOptions engine_options;
   engine_options.threads = args.count_or("threads", 0);
-  engine_options.use_kernels = !args.flag("no-kernels");
   engine::ReclaimEngine engine(engine_options);
 
   util::Timer timer;
@@ -385,8 +384,6 @@ solve options:
   --processors <p>       processor count for list scheduling [default 1]
   --mapping <file>       explicit mapping (skips the list scheduler)
   --threads <t>          engine worker threads (batch)       [default: cores]
-  --no-kernels           disable the closed-form kernels: every batch
-                         instance, in a long run or alone, takes core::solve
   --csv <1>              batch output as CSV instead of a table
 
 schedule options: --graph, --processors
@@ -401,7 +398,7 @@ int main(int argc, char** argv) {
   try {
     const Args args = parse_args(
         argc, argv, "usage: reclaim_cli <command> [--opt value]...",
-        /*valueless=*/{"no-kernels", "joint-sleep"});
+        /*valueless=*/{"joint-sleep"});
     if (args.command == "help") return cmd_help();
     if (args.command == "solve") return cmd_solve(args);
     if (args.command == "classify") return cmd_classify(args);

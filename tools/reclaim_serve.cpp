@@ -48,8 +48,6 @@ engine:
   --threads <t>          solver worker threads        [default: cores]
   --memo-entries <n>     solution-memo entry cap      [default 65536]
   --memo-mb <m>          solution-memo byte cap, MiB  [default 64; 0 = off]
-  --no-kernels           disable the closed-form kernels for every request
-                         (core::solve answers every instance)
 
 service:
   --stats-interval <s>   seconds between stats lines on stderr
@@ -69,7 +67,6 @@ int run(const Args& args) {
   options.engine.threads = args.count_or("threads", 0);
   options.engine.memo_capacity = args.count_or("memo-entries", 1 << 16);
   options.engine.memo_bytes = args.count_or("memo-mb", 64) << 20;
-  options.engine.use_kernels = !args.flag("no-kernels");
   options.solve = parse_solve_options(args);
   options.stats_log_interval_s = args.number_or("stats-interval", 10.0);
   options.log = &std::cerr;
@@ -103,7 +100,7 @@ int main(int argc, char** argv) {
     Args args;  // bare `reclaim_serve` runs with the defaults
     if (argc >= 2) {
       args = parse_args(argc, argv, "usage: reclaim_serve [--opt value]...",
-                        /*valueless=*/{"stdio", "no-kernels", "joint-sleep"});
+                        /*valueless=*/{"stdio", "joint-sleep"});
     }
     if (args.command == "help") return cmd_help();
     if (!args.command.empty()) {
