@@ -142,8 +142,7 @@ JointSleepResult solve_joint_sleep(const Instance& instance,
   }
 
   const auto& g = instance.exec_graph;
-  const double window =
-      options.race.window > 0.0 ? options.race.window : instance.deadline;
+  const double window = instance.deadline;
   const double s_min = options.race.continuous.s_min;
   Evaluator evaluate(instance, mapping, window);
 

@@ -28,7 +28,7 @@ struct Evaluation {
 Evaluation evaluate_scaled(const Instance& instance,
                            const sched::Mapping& mapping,
                            const std::vector<double>& base_speeds, double k,
-                           double s_max, double window) {
+                           double s_max) {
   const auto& g = instance.exec_graph;
   Evaluation eval;
   eval.busy = 0.0;
@@ -41,8 +41,8 @@ Evaluation evaluate_scaled(const Instance& instance,
     eval.busy += instance.power_of(v).task_energy(w, speed);
     durations[v] = w / speed;
   }
-  eval.idle =
-      sched::idle_energy(g, mapping, durations, window, instance.platform);
+  eval.idle = sched::idle_energy(g, mapping, durations, instance.deadline,
+                                 instance.platform);
   return eval;
 }
 
@@ -65,11 +65,9 @@ RaceToIdleResult solve_race_to_idle(const Instance& instance,
   }
 
   const auto& g = instance.exec_graph;
-  const double window =
-      options.window > 0.0 ? options.window : instance.deadline;
   const auto eval_at = [&](double k) {
     return evaluate_scaled(instance, mapping, result.solution.speeds, k,
-                           model.s_max, window);
+                           model.s_max);
   };
 
   const Evaluation crawl_eval = eval_at(1.0);

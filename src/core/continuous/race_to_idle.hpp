@@ -28,8 +28,6 @@ namespace reclaim::core {
 struct RaceToIdleOptions {
   /// Options forwarded to the crawl solve (solve_continuous).
   ContinuousOptions continuous;
-  /// Platform accounting window; <= 0 means the instance deadline.
-  double window = 0.0;
 };
 
 struct RaceToIdleResult {
@@ -47,7 +45,7 @@ struct RaceToIdleResult {
 /// races: scales all crawl speeds by a common factor k >= 1, clamping
 /// each task at its own cap (the model's global s_max folded with its
 /// processor's limit), and picks the k minimizing busy + idle energy over
-/// the window under `mapping`, with idle gaps charged under each
+/// the deadline window under `mapping`, with idle gaps charged under each
 /// processor's own sleep spec. Cap-pinned tasks simply stop speeding up
 /// while the rest keep racing — a big.LITTLE platform's floor-pinned
 /// little cores never freeze the big cores' race; the search only ends

@@ -1,6 +1,8 @@
 #include "core/solve.hpp"
 
 #include "core/continuous/dispatch.hpp"
+#include "core/continuous/joint_sleep.hpp"
+#include "core/continuous/race_to_idle.hpp"
 #include "core/continuous/sleep_dp.hpp"
 #include "core/discrete/chain_dp.hpp"
 #include "core/discrete/exact_bb.hpp"
@@ -33,16 +35,23 @@ Solution solve_mode_based(const Instance& instance, const model::ModeSet& modes,
 
 }  // namespace
 
+bool prices_mapping(const Instance& instance,
+                    const model::EnergyModel& energy_model,
+                    const SolveOptions& options) {
+  return options.sleep_mode != SleepMode::kDp &&
+         std::holds_alternative<model::ContinuousModel>(energy_model) &&
+         instance.platform.has_sleep();
+}
+
 Solution solve(const Instance& instance, const model::EnergyModel& energy_model,
-               const SolveOptions& options, const graph::ShapeInfo* shape) {
+               const SolveOptions& options, const graph::ShapeInfo* shape,
+               const sched::Mapping* mapping) {
   return std::visit(
       [&](const auto& m) -> Solution {
         using M = std::decay_t<decltype(m)>;
         if constexpr (std::is_same_v<M, model::ContinuousModel>) {
           // kDp is the exact single-processor oracle (throws off its
-          // eligibility domain). kJoint needs a mapping to price gaps and
-          // is routed by the engine's mapped solves; here, with no mapping
-          // in sight, it behaves like kRace.
+          // eligibility domain); it needs no mapping.
           if (options.sleep_mode == SleepMode::kDp &&
               instance.platform.has_sleep()) {
             return solve_sleep_dp(instance, m).solution;
@@ -52,7 +61,17 @@ Solution solve(const Instance& instance, const model::EnergyModel& energy_model,
           continuous_options.s_min = options.continuous_s_min;
           continuous_options.leakage = options.leakage;
           continuous_options.shape = shape;
-          return solve_continuous(instance, m, continuous_options);
+          // The race and the joint refinement price idle gaps under the
+          // mapping; with no mapping in sight both answer with the crawl.
+          if (mapping == nullptr ||
+              !prices_mapping(instance, energy_model, options)) {
+            return solve_continuous(instance, m, continuous_options);
+          }
+          const RaceToIdleOptions race{continuous_options};
+          if (options.sleep_mode == SleepMode::kJoint) {
+            return solve_joint_sleep(instance, m, *mapping, {race}).solution;
+          }
+          return solve_race_to_idle(instance, m, *mapping, race).solution;
         } else if constexpr (std::is_same_v<M, model::VddHoppingModel>) {
           return solve_vdd_lp(instance, m).solution;
         } else if constexpr (std::is_same_v<M, model::DiscreteModel>) {

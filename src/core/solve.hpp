@@ -1,9 +1,12 @@
 // Unified front door: solve MinEnergy under any EnergyModel variant. The
 // one dispatcher: the engine solves through it too, handing it the
-// topology's cached graph::ShapeInfo.
+// topology's cached graph::ShapeInfo and the instance's mapping.
 //
 // Dispatch:
-//   Continuous  -> solve_continuous (closed-form kernels / numeric)
+//   Continuous  -> solve_continuous (closed-form kernels / numeric); on a
+//                  sleep-enabled platform kDp takes solve_sleep_dp, and
+//                  with a mapping kRace / kJoint take the race / joint
+//                  refiners
 //   Vdd-Hopping -> solve_vdd_lp (exact, Theorem 3)
 //   Discrete    -> exact branch-and-bound when the instance is small
 //                  enough (Theorem 4 willing), else the pseudo-polynomial
@@ -14,6 +17,7 @@
 #include "core/problem.hpp"
 #include "graph/classify.hpp"
 #include "model/energy_model.hpp"
+#include "sched/mapping.hpp"
 
 namespace reclaim::core {
 
@@ -36,20 +40,30 @@ struct SolveOptions {
   LeakageMode leakage = LeakageMode::kReduction;
   /// Power-down handling of sleep-enabled continuous instances: the
   /// post-hoc race (default), the joint speed + power-down refinement
-  /// (engine mapped routes and --joint-sleep), or the exact
-  /// single-processor DP oracle (throws off its eligibility domain).
+  /// (both price idle gaps, so solve() needs a mapping for them), or the
+  /// exact single-processor DP oracle (throws off its eligibility domain).
   /// Mode-based models ignore it; so do instances without a sleep spec.
   SleepMode sleep_mode = SleepMode::kRace;
 };
+
+/// True when a mapping can change solve()'s answer: a Continuous model on
+/// a sleep-enabled platform under kRace or kJoint. The one place that
+/// decides it.
+[[nodiscard]] bool prices_mapping(const Instance& instance,
+                                  const model::EnergyModel& energy_model,
+                                  const SolveOptions& options);
 
 /// Solves the instance under `energy_model`. The returned Solution's
 /// `method` field records the algorithm that actually ran. `shape`, when
 /// given, must be graph::analyze(instance.exec_graph) (the engine passes
 /// its cached copy); absent, the shape is derived here as needed. Either
-/// way the answer is the same.
+/// way the answer is the same. `mapping`, when given, is the one the
+/// execution graph was built from; it is read only where prices_mapping
+/// holds.
 [[nodiscard]] Solution solve(const Instance& instance,
                              const model::EnergyModel& energy_model,
                              const SolveOptions& options = {},
-                             const graph::ShapeInfo* shape = nullptr);
+                             const graph::ShapeInfo* shape = nullptr,
+                             const sched::Mapping* mapping = nullptr);
 
 }  // namespace reclaim::core

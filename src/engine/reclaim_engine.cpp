@@ -7,8 +7,6 @@
 #include <utility>
 
 #include "core/continuous/batch_kernels.hpp"
-#include "core/continuous/joint_sleep.hpp"
-#include "core/continuous/race_to_idle.hpp"
 #include "engine/instance_key.hpp"
 #include "util/annotated_mutex.hpp"
 #include "util/arena.hpp"
@@ -61,25 +59,59 @@ graph::ShapeInfo ReclaimEngine::shape_of(const graph::Digraph& g) {
   return shapes_.emplace(key, std::move(info)).first->second;
 }
 
-template <class KeyFn, class SolveFn>
-core::Solution ReclaimEngine::memoized(const core::Instance& instance,
-                                       const KeyFn& key_of,
-                                       const SolveFn& solve) {
+core::Solution ReclaimEngine::solve_routed(const core::Instance& instance,
+                                           const sched::Mapping* mapping,
+                                           const model::EnergyModel& model,
+                                           const core::SolveOptions& options) {
   instances_.fetch_add(1, std::memory_order_relaxed);
   util::require(instance.deadline > 0.0,
                 "ReclaimEngine: instance deadline must be positive");
+  // Where the mapping cannot change the answer, drop it: the instance
+  // shares the plain route's memo entries.
+  if (mapping != nullptr && !core::prices_mapping(instance, model, options)) {
+    mapping = nullptr;
+  }
 
   std::string key;
   if (options_.memoize) {
-    key = key_of();
+    key = mapping != nullptr
+              ? mapped_instance_key(instance, *mapping, model, options)
+              : instance_key(instance, model, options);
     if (auto cached = memo_.get(key)) {
       memo_hits_.fetch_add(1, std::memory_order_relaxed);
       return *std::move(cached);
     }
   }
 
-  core::Solution solution = solve();
+  core::Solution solution;
+  // The Vdd LP ignores shape: skip analyzing (and caching) the topology.
+  if (std::holds_alternative<model::VddHoppingModel>(model)) {
+    solution = core::solve(instance, model, options);
+  } else {
+    const graph::ShapeInfo shape = shape_of(instance.exec_graph);
+    solution = core::solve(instance, model, options, &shape, mapping);
+  }
   fresh_solves_.fetch_add(1, std::memory_order_relaxed);
+
+  // core::solve answers its closed forms with the kernels: count them, as
+  // the long-run driver counts its runs. A mapped answer is attributed to
+  // its refiner by the method that ran.
+  if (const auto family = core::kernel_family_of(solution.method)) {
+    kernel_solves_.fetch_add(1, std::memory_order_relaxed);
+    kernel_family_[static_cast<std::size_t>(*family)].fetch_add(
+        1, std::memory_order_relaxed);
+  }
+  if (mapping != nullptr) {
+    if (options.sleep_mode == core::SleepMode::kJoint) {
+      joint_solves_.fetch_add(1, std::memory_order_relaxed);
+      if (solution.method == "joint-sleep") {
+        joint_improved_.fetch_add(1, std::memory_order_relaxed);
+      }
+    } else {
+      (solution.method == "race-to-idle" ? raced_solves_ : crawl_solves_)
+          .fetch_add(1, std::memory_order_relaxed);
+    }
+  }
 
   if (options_.memoize) {
     // Two workers may race on the same key; both computed the identical
@@ -90,126 +122,39 @@ core::Solution ReclaimEngine::memoized(const core::Instance& instance,
   return solution;
 }
 
-core::Solution ReclaimEngine::solve_routed(const core::Instance& instance,
-                                           const model::EnergyModel& model,
-                                           const core::SolveOptions& options) {
-  return memoized(
-      instance, [&] { return instance_key(instance, model, options); },
-      [&] {
-        // The Vdd LP ignores shape: skip analyzing (and caching) the
-        // topology.
-        if (std::holds_alternative<model::VddHoppingModel>(model)) {
-          return core::solve(instance, model, options);
-        }
-        const graph::ShapeInfo shape = shape_of(instance.exec_graph);
-        core::Solution solution = core::solve(instance, model, options, &shape);
-        // core::solve answers its closed forms with the kernels: count
-        // them, as the long-run driver counts its runs.
-        if (const auto family = core::kernel_family_of(solution.method)) {
-          kernel_solves_.fetch_add(1, std::memory_order_relaxed);
-          kernel_family_[static_cast<std::size_t>(*family)].fetch_add(
-              1, std::memory_order_relaxed);
-        }
-        return solution;
-      });
-}
-
-core::Solution ReclaimEngine::solve_mapped(const MappedInstance& mapped,
-                                           const model::EnergyModel& model,
-                                           const core::SolveOptions& options) {
-  const auto* continuous = std::get_if<model::ContinuousModel>(&model);
-  if (continuous == nullptr || !mapped.instance.platform.has_sleep() ||
-      options.sleep_mode == core::SleepMode::kDp) {
-    // Without idle charges (or under a mode-based model) the mapping does
-    // not change the optimum: share the plain route and its memo entries.
-    // The exact DP oracle is mapping-independent too (single processor,
-    // one consolidated tail gap), so it shares them as well.
-    return solve_routed(mapped.instance, model, options);
-  }
-
-  const auto key_of = [&] {
-    return mapped_instance_key(mapped.instance, mapped.mapping, model, options);
-  };
-  return memoized(mapped.instance, key_of, [&] {
-    core::RaceToIdleOptions race;
-    race.continuous.rel_gap = options.rel_gap;
-    race.continuous.s_min = options.continuous_s_min;
-    race.continuous.leakage = options.leakage;
-    const graph::ShapeInfo shape = shape_of(mapped.instance.exec_graph);
-    race.continuous.shape = &shape;
-
-    if (options.sleep_mode == core::SleepMode::kJoint) {
-      core::JointSleepOptions joint;
-      joint.race = race;
-      const core::JointSleepResult result = core::solve_joint_sleep(
-          mapped.instance, *continuous, mapped.mapping, joint);
-      joint_solves_.fetch_add(1, std::memory_order_relaxed);
-      if (result.improved) {
-        joint_improved_.fetch_add(1, std::memory_order_relaxed);
-      }
-      return result.solution;
-    }
-    const core::RaceToIdleResult result = core::solve_race_to_idle(
-        mapped.instance, *continuous, mapped.mapping, race);
-    (result.raced ? raced_solves_ : crawl_solves_)
-        .fetch_add(1, std::memory_order_relaxed);
-    return result.solution;
-  });
-}
-
-std::vector<core::Solution> ReclaimEngine::run_batch(
-    std::size_t n,
-    const std::function<void(std::size_t, std::size_t, core::Solution*)>&
-        solve_range) {
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  std::vector<core::Solution> out(n);
-  if (n == 0) return out;
-
-  const std::size_t workers = pool_ ? std::min(pool_->size(), n) : 1;
-  if (workers <= 1) {
-    solve_range(0, n, out.data());
-    return out;
-  }
-
-  const std::size_t chunk = chunk_size(n, workers);
-  std::atomic<std::size_t> cursor{0};
-  std::atomic<bool> abort{false};
-  std::exception_ptr first_error;
-  util::Mutex error_mutex;
-
-  const auto drain = [&] {
-    while (!abort.load(std::memory_order_relaxed)) {
-      const std::size_t lo = cursor.fetch_add(chunk, std::memory_order_relaxed);
-      if (lo >= n) return;
-      const std::size_t hi = std::min(n, lo + chunk);
-      try {
-        solve_range(lo, hi, out.data());
-      } catch (...) {
-        {
-          const util::MutexLock lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-        }
-        abort.store(true, std::memory_order_relaxed);
-        return;
-      }
-    }
-  };
-
-  std::vector<std::future<void>> futures;
-  futures.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) futures.push_back(pool_->submit(drain));
-  for (auto& f : futures) f.get();
-
-  if (first_error) std::rethrow_exception(first_error);
-  return out;
-}
-
 std::vector<core::Solution> ReclaimEngine::kernel_batch(
     std::size_t n,
     const std::function<const core::Instance&(std::size_t)>& instance_at,
-    const std::function<bool(std::size_t)>& kernel_ok,
-    const model::EnergyModel& model, const core::SolveOptions& options,
-    const std::function<core::Solution(std::size_t)>& solve_scalar) {
+    const std::function<const sched::Mapping*(std::size_t)>& mapping_at,
+    const model::EnergyModel& model, const core::SolveOptions& options) {
+  batches_.fetch_add(1, std::memory_order_relaxed);
+  std::vector<core::Solution> out(n);
+  const auto solve_scalar = [&](std::size_t i) {
+    return solve_routed(instance_at(i), mapping_at(i), model, options);
+  };
+  // The kernels price no idle gaps: an instance whose mapping can change
+  // its answer is no kernel candidate.
+  const auto kernel_ok = [&](std::size_t i) {
+    return mapping_at(i) == nullptr ||
+           !core::prices_mapping(instance_at(i), model, options);
+  };
+  // One past the maximal candidate run starting at i (cheap structural
+  // predicates only — topology/model equality, no planning), or i itself
+  // when instance i is no candidate. With `ptrs`, the run's instances are
+  // recorded during the scan.
+  const auto run_end = [&](std::size_t i, const core::Instance** ptrs) {
+    if (!kernel_ok(i) || !(instance_at(i).deadline > 0.0)) return i;
+    const core::Instance& head = instance_at(i);
+    if (ptrs != nullptr) ptrs[0] = &head;
+    std::size_t j = i + 1;
+    while (j < n && kernel_ok(j)) {
+      const core::Instance& next = instance_at(j);
+      if (!core::kernel_run_compatible(head, next)) break;
+      if (ptrs != nullptr) ptrs[j - i] = &next;
+      ++j;
+    }
+    return j;
+  };
   // Solves one planned kernel segment [lo, hi) (ptrs holds its instances)
   // in a single pass, bypassing per-instance dispatch and the memo (a run
   // this long is a sweep of distinct instances, cheaper to solve than to
@@ -218,9 +163,8 @@ std::vector<core::Solution> ReclaimEngine::kernel_batch(
   // which does its own accounting.
   const auto solve_segment = [&](const core::KernelPlan& plan,
                                  const core::Instance* const* ptrs,
-                                 std::size_t lo, std::size_t hi,
-                                 core::Solution* out) {
-    core::solve_kernel_run(plan, ptrs, hi - lo, out + lo);
+                                 std::size_t lo, std::size_t hi) {
+    core::solve_kernel_run(plan, ptrs, hi - lo, out.data() + lo);
     std::size_t solved = 0;
     for (std::size_t k = lo; k < hi; ++k) {
       if (out[k].method.empty()) {
@@ -242,33 +186,24 @@ std::vector<core::Solution> ReclaimEngine::kernel_batch(
   // batch from memory once instead of twice. Semantics match the pooled
   // path below exactly (same predicates, same plan, same hand-back).
   if (!pool_) {
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    std::vector<core::Solution> out(n);
     auto& arena = util::Arena::scratch();
     const util::Arena::Scope scope(arena);
     auto ptrs = arena.alloc<const core::Instance*>(n);
     std::size_t i = 0;
     while (i < n) {
-      if (!kernel_ok(i) || !(instance_at(i).deadline > 0.0)) {
+      const std::size_t j = run_end(i, ptrs.data());
+      if (j == i) {
         out[i] = solve_scalar(i);
         ++i;
         continue;
       }
-      const core::Instance& head = instance_at(i);
-      ptrs[0] = &head;
-      std::size_t j = i + 1;
-      while (j < n && kernel_ok(j) &&
-             core::kernel_run_compatible(head, instance_at(j))) {
-        ptrs[j - i] = &instance_at(j);
-        ++j;
-      }
       std::optional<core::KernelPlan> plan;
       if (j - i >= kKernelMinRun) {
-        const graph::ShapeInfo shape = shape_of(head.exec_graph);
-        plan = core::plan_kernel(head, model, options, &shape);
+        const graph::ShapeInfo shape = shape_of(ptrs[0]->exec_graph);
+        plan = core::plan_kernel(*ptrs[0], model, options, &shape);
       }
       if (plan) {
-        solve_segment(*plan, ptrs.data(), i, j, out.data());
+        solve_segment(*plan, ptrs.data(), i, j);
       } else {
         for (std::size_t k = i; k < j; ++k) out[k] = solve_scalar(k);
       }
@@ -277,30 +212,18 @@ std::vector<core::Solution> ReclaimEngine::kernel_batch(
     return out;
   }
 
-  // Pass 1 (caller thread): discover maximal candidate runs with cheap
-  // structural predicates only — topology/model equality, no planning.
-  // Only runs of at least kKernelMinRun count as sweeps of distinct
-  // instances; shorter ones go through solve_scalar (memo, then
-  // core::solve).
+  // Pass 1 (caller thread): discover the candidate runs. Only runs of at
+  // least kKernelMinRun count as sweeps of distinct instances; shorter
+  // ones go through solve_scalar (memo, then core::solve).
   struct Run {
     std::size_t begin;
     std::size_t end;
   };
   std::vector<Run> runs;
-  std::size_t i = 0;
-  while (i < n) {
-    if (!kernel_ok(i) || !(instance_at(i).deadline > 0.0)) {
-      ++i;
-      continue;
-    }
-    const core::Instance& head = instance_at(i);
-    std::size_t j = i + 1;
-    while (j < n && kernel_ok(j) &&
-           core::kernel_run_compatible(head, instance_at(j))) {
-      ++j;
-    }
+  for (std::size_t i = 0; i < n;) {
+    const std::size_t j = run_end(i, nullptr);
     if (j - i >= kKernelMinRun) runs.push_back({i, j});
-    i = j;
+    i = std::max(j, i + 1);
   }
 
   // Pass 2: plan each run from its head, feeding the planner the shape
@@ -338,24 +261,18 @@ std::vector<core::Solution> ReclaimEngine::kernel_batch(
   // scalar ones; a run the planner rejected stays scalar wholesale.
   std::vector<core::KernelPlan> plans;
   std::vector<std::uint32_t> plan_of(n, 0);
-  bool any_kernel = false;
   for (std::size_t r = 0; r < runs.size(); ++r) {
     if (!run_plans[r]) continue;
     plans.push_back(std::move(*run_plans[r]));
     const auto tag = static_cast<std::uint32_t>(plans.size());
     for (std::size_t k = runs[r].begin; k < runs[r].end; ++k) plan_of[k] = tag;
-    any_kernel = true;
   }
 
-  if (!any_kernel) {
-    return run_batch(n, [&](std::size_t lo, std::size_t hi,
-                            core::Solution* out) {
-      for (std::size_t k = lo; k < hi; ++k) out[k] = solve_scalar(k);
-    });
-  }
-
-  return run_batch(n, [&](std::size_t lo, std::size_t hi,
-                          core::Solution* out) {
+  // Pass 3: drain the batch in dynamic chunks pulled from a shared cursor,
+  // solving the kernel segments inside a chunk in one pass and everything
+  // else via solve_scalar. The first exception aborts the batch and is
+  // rethrown on the caller's thread.
+  const auto solve_range = [&](std::size_t lo, std::size_t hi) {
     auto& arena = util::Arena::scratch();
     const util::Arena::Scope scope(arena);
     auto ptrs = arena.alloc<const core::Instance*>(hi - lo);
@@ -373,53 +290,76 @@ std::vector<core::Solution> ReclaimEngine::kernel_batch(
         ptrs[seg_end - k] = &instance_at(seg_end);
         ++seg_end;
       }
-      solve_segment(plans[tag - 1], ptrs.data(), k, seg_end, out);
+      solve_segment(plans[tag - 1], ptrs.data(), k, seg_end);
       k = seg_end;
     }
-  });
+  };
+  const std::size_t workers = std::min(pool_->size(), n);
+  if (workers <= 1) {
+    solve_range(0, n);
+    return out;
+  }
+  const std::size_t chunk = chunk_size(n, workers);
+  std::atomic<std::size_t> cursor{0};
+  std::atomic<bool> abort{false};
+  std::exception_ptr first_error;
+  util::Mutex error_mutex;
+  const auto drain = [&] {
+    while (!abort.load(std::memory_order_relaxed)) {
+      const std::size_t lo = cursor.fetch_add(chunk, std::memory_order_relaxed);
+      if (lo >= n) return;
+      try {
+        solve_range(lo, std::min(n, lo + chunk));
+      } catch (...) {
+        {
+          const util::MutexLock lock(error_mutex);
+          if (!first_error) first_error = std::current_exception();
+        }
+        abort.store(true, std::memory_order_relaxed);
+        return;
+      }
+    }
+  };
+  std::vector<std::future<void>> futures;
+  futures.reserve(workers);
+  for (std::size_t w = 0; w < workers; ++w)
+    futures.push_back(pool_->submit(drain));
+  for (auto& f : futures) f.get();
+  if (first_error) std::rethrow_exception(first_error);
+  return out;
 }
 
 std::vector<core::Solution> ReclaimEngine::solve_batch(
     std::span<const core::Instance> instances, const model::EnergyModel& model,
     const core::SolveOptions& options) {
-  const auto solve_scalar = [&](std::size_t i) {
-    return solve_routed(instances[i], model, options);
-  };
   return kernel_batch(
       instances.size(),
       [&](std::size_t i) -> const core::Instance& { return instances[i]; },
-      [](std::size_t) { return true; }, model, options, solve_scalar);
+      [](std::size_t) -> const sched::Mapping* { return nullptr; }, model,
+      options);
 }
 
 std::vector<core::Solution> ReclaimEngine::solve_batch(
     std::span<const MappedInstance> instances, const model::EnergyModel& model,
     const core::SolveOptions& options) {
-  const auto solve_scalar = [&](std::size_t i) {
-    return solve_mapped(instances[i], model, options);
-  };
   return kernel_batch(
       instances.size(),
       [&](std::size_t i) -> const core::Instance& {
         return instances[i].instance;
       },
-      [&](std::size_t i) {
-        // Sleep-enabled platforms take the race-to-idle route, which the
-        // kernels do not model; everything else shares the plain route.
-        return !instances[i].instance.platform.has_sleep();
-      },
-      model, options, solve_scalar);
+      [&](std::size_t i) { return &instances[i].mapping; }, model, options);
 }
 
 core::Solution ReclaimEngine::solve_one(const core::Instance& instance,
                                         const model::EnergyModel& model,
                                         const core::SolveOptions& options) {
-  return solve_routed(instance, model, options);
+  return solve_routed(instance, nullptr, model, options);
 }
 
 core::Solution ReclaimEngine::solve_one(const MappedInstance& instance,
                                         const model::EnergyModel& model,
                                         const core::SolveOptions& options) {
-  return solve_mapped(instance, model, options);
+  return solve_routed(instance.instance, &instance.mapping, model, options);
 }
 
 void ReclaimEngine::submit(
@@ -431,7 +371,8 @@ void ReclaimEngine::submit(
   auto run = [this, instance = std::move(instance), model = std::move(model),
               options, done = std::move(done)] {
     try {
-      core::Solution solution = solve_mapped(instance, model, options);
+      core::Solution solution =
+          solve_routed(instance.instance, &instance.mapping, model, options);
       done(std::move(solution), nullptr);
     } catch (...) {
       done(core::Solution{}, std::current_exception());

@@ -4,8 +4,10 @@
 // sweeps of independent MinEnergy instances, not one instance at a time.
 // The engine turns core::solve() into a high-throughput batch service. It
 // is caches and kernels around core::solve, never a second dispatcher:
-// every scalar solve is core::solve (or, on mapped sleep-enabled
-// instances, the race/joint refiners) under the same options.
+// every scalar solve is core::solve under the same options, handed the
+// instance's mapping where it has one (core::prices_mapping decides
+// whether the mapping can change the answer; where it cannot, a mapped
+// instance takes the plain route and shares its memo entries).
 //
 //   - solve_batch() shards a span of instances across a ThreadPool using
 //     dynamic (work-stealing-friendly) chunking: workers pull small index
@@ -89,19 +91,22 @@ struct EngineStats {
   std::size_t memo_hits = 0;     ///< instances answered from the memo
   std::size_t shape_hits = 0;    ///< classifications answered from the cache
   /// Race-to-idle routing of mapped batches (fresh solves only; memoized
-  /// answers are not re-attributed): sleep-enabled continuous instances
-  /// where racing strictly won vs where the crawl stayed optimal.
+  /// answers are not re-attributed), read off the answer's method:
+  /// mapping-priced kRace instances where racing strictly won
+  /// ("race-to-idle") vs where the crawl stayed optimal (any other).
   std::size_t raced_solves = 0;
   std::size_t crawl_solves = 0;
   /// Joint speed/sleep routing of mapped batches (SolveOptions::sleep_mode
   /// == kJoint, fresh solves only): instances that ran the joint refiner,
-  /// and the subset where it strictly beat the race-to-idle anchor.
+  /// and the subset where it strictly beat the race-to-idle anchor
+  /// (method "joint-sleep").
   std::size_t joint_solves = 0;
   std::size_t joint_improved = 0;
   /// Fast-path split of the fresh solves: instances answered by a
   /// closed-form kernel, in long runs or through core::solve (a subset of
   /// fresh_solves; the remainder took the barrier, another model's solver
-  /// or a refiner).
+  /// or a refiner). A mapping-priced answer whose refiner kept a
+  /// closed-form crawl counts here too.
   std::size_t kernel_solves = 0;
   /// Per-family split of kernel_solves (which stays the total): which
   /// closed-form kernel solved each fast-path instance. The tree/SP
@@ -126,7 +131,7 @@ struct EngineStats {
 /// built from. The mapping is what idle-interval accounting needs beyond
 /// the instance's task -> processor assignment (gap enumeration depends on
 /// each processor's execution order), so mapped batches unlock the
-/// engine-integrated race-to-idle route: sleep-enabled continuous
+/// race-to-idle and joint routes of core::solve: sleep-enabled continuous
 /// instances are solved crawl-vs-race instead of busy-only.
 struct MappedInstance {
   core::Instance instance;
@@ -148,12 +153,13 @@ class ReclaimEngine {
       std::span<const core::Instance> instances, const model::EnergyModel& model,
       const core::SolveOptions& options = {});
 
-  /// Mapped batch: same sharding/caching, plus the engine-integrated
-  /// race-to-idle route — continuous instances whose platform carries a
-  /// sleep spec are solved via core::solve_race_to_idle under their
-  /// mapping (memoized under the mapping-extended key), every other
-  /// instance takes the plain route. EngineStats reports the crawl-vs-
-  /// raced split of the fresh sleep-routed solves.
+  /// Mapped batch: same sharding/caching, with each instance's mapping
+  /// handed to core::solve. Where core::prices_mapping holds (continuous
+  /// instances on a sleep-enabled platform under the race or the joint
+  /// refinement) the answer is memoized under the mapping-extended key and
+  /// never taken by a kernel; every other instance takes the plain route.
+  /// EngineStats reports the crawl / raced / joint split of the fresh
+  /// mapping-priced solves.
   [[nodiscard]] std::vector<core::Solution> solve_batch(
       std::span<const MappedInstance> instances, const model::EnergyModel& model,
       const core::SolveOptions& options = {});
@@ -163,7 +169,7 @@ class ReclaimEngine {
                                          const model::EnergyModel& model,
                                          const core::SolveOptions& options = {});
 
-  /// Mapped single-instance convenience: the race-to-idle route of the
+  /// Mapped single-instance convenience: the per-instance route of the
   /// mapped solve_batch.
   [[nodiscard]] core::Solution solve_one(const MappedInstance& instance,
                                          const model::EnergyModel& model,
@@ -190,43 +196,30 @@ class ReclaimEngine {
   void clear_caches();
 
  private:
+  /// The one scalar route of every entry point: counts the instance,
+  /// checks its deadline, drops `mapping` (which may be null) unless
+  /// core::prices_mapping holds, and returns the memo's answer or else
+  /// core::solve's, which it attributes by method and stores.
   core::Solution solve_routed(const core::Instance& instance,
+                              const sched::Mapping* mapping,
                               const model::EnergyModel& model,
                               const core::SolveOptions& options);
-  core::Solution solve_mapped(const MappedInstance& instance,
-                              const model::EnergyModel& model,
-                              const core::SolveOptions& options);
-  /// The memoized scalar solve shared by both routes: counts the instance,
-  /// checks its deadline, and returns the memo's answer for key_of() or
-  /// else solve()'s, which it stores.
-  template <class KeyFn, class SolveFn>
-  core::Solution memoized(const core::Instance& instance, const KeyFn& key_of,
-                          const SolveFn& solve);
   /// The topology's graph::analyze with its composition plan attached,
   /// cached: one analysis per distinct topology.
   graph::ShapeInfo shape_of(const graph::Digraph& g);
-  /// Shared dynamic-chunking drain loop of both solve_batch overloads:
-  /// solve_range(lo, hi, out) fills out[lo..hi) (out points at the full
-  /// result array); the first exception aborts the batch and is rethrown
-  /// on the caller's thread. Range-based so kernel segments inside a
-  /// chunk are solved in one pass.
-  std::vector<core::Solution> run_batch(
-      std::size_t n,
-      const std::function<void(std::size_t, std::size_t, core::Solution*)>&
-          solve_range);
   /// Kernel-aware batch driver shared by both solve_batch overloads:
   /// discovers candidate runs on the caller's thread (cheap structural
   /// predicates only), plans them — sharded across the pool when there is
   /// more than one, each plan reusing the shape cache's analysis of its
-  /// head topology — then drains through run_batch solving kernel
-  /// segments in one pass per chunk and everything else via
-  /// solve_scalar.
+  /// head topology — then drains the batch in dynamic chunks (so skewed
+  /// instances cannot strand a thread), solving kernel segments in one
+  /// pass per chunk and everything else via solve_routed. mapping_at(i)
+  /// is instance i's mapping, or null.
   std::vector<core::Solution> kernel_batch(
       std::size_t n,
       const std::function<const core::Instance&(std::size_t)>& instance_at,
-      const std::function<bool(std::size_t)>& kernel_ok,
-      const model::EnergyModel& model, const core::SolveOptions& options,
-      const std::function<core::Solution(std::size_t)>& solve_scalar);
+      const std::function<const sched::Mapping*(std::size_t)>& mapping_at,
+      const model::EnergyModel& model, const core::SolveOptions& options);
 
   EngineOptions options_;
   std::unique_ptr<util::ThreadPool> pool_;  ///< null when threads == 1

@@ -504,6 +504,37 @@ TEST(JointSleepEngine, DpRouteDispatchesTheOracle) {
   expect_identical(dp, direct.solution);
 }
 
+TEST(SolveRoute, MappingIsInertWhereItPricesNothing) {
+  // prices_mapping is false under kDp and under every mode-based model, so
+  // handing core::solve the mapping changes nothing: bit for bit the
+  // unmapped answer, work measure included.
+  const auto m = one_proc(
+      rg::make_chain({1.0, 2.0, 0.5}), 6.0,
+      rm::make_power_model(3.0, 1.0, rm::make_sleep_spec(1.5, 0.5, 0.5)));
+  rc::SolveOptions dp_opts;
+  dp_opts.sleep_mode = rc::SleepMode::kDp;
+  const rm::ModeSet modes({0.25, 0.5, 1.0, 2.0});
+  const struct {
+    rm::EnergyModel model;
+    rc::SolveOptions options;
+  } cases[] = {
+      {rm::ContinuousModel{kInf}, dp_opts},
+      {rm::DiscreteModel{modes}, rc::SolveOptions{}},
+      {rm::VddHoppingModel{modes}, rc::SolveOptions{}},
+  };
+  for (const auto& c : cases) {
+    EXPECT_FALSE(rc::prices_mapping(m.instance, c.model, c.options));
+    const auto plain = rc::solve(m.instance, c.model, c.options);
+    const auto mapped =
+        rc::solve(m.instance, c.model, c.options, nullptr, &m.mapping);
+    ASSERT_TRUE(plain.feasible) << plain.method;
+    expect_identical(mapped, plain);
+    EXPECT_EQ(mapped.iterations, plain.iterations);
+  }
+  EXPECT_TRUE(rc::prices_mapping(m.instance, rm::ContinuousModel{kInf},
+                                 rc::SolveOptions{}));
+}
+
 // ---------------------------------------------------------------------------
 // Differential fuzz on the shared harness.
 // ---------------------------------------------------------------------------
@@ -513,6 +544,8 @@ TEST(JointSleepEngine, DpRouteDispatchesTheOracle) {
 // sleep-spec family. Every trial must satisfy the acceptance invariant
 // joint <= race; the sweep must also find a healthy number of strict
 // improvements (the crawl-below-s_crit moves are genuinely reachable).
+// core::solve handed the mapping is each refiner bit for bit, and without
+// one answers with the crawl.
 TEST(JointSleepFuzz, NeverWorseThanRaceToIdle) {
   const double s_top = 2.0;
   const std::size_t trials = rt::fuzz_trials(500);
@@ -566,6 +599,19 @@ TEST(JointSleepFuzz, NeverWorseThanRaceToIdle) {
       ++improved;
       EXPECT_EQ(joint.solution.method, "joint-sleep") << "trial " << t.index;
     }
+    rc::SolveOptions joint_opts;
+    joint_opts.sleep_mode = rc::SleepMode::kJoint;
+    const auto routed_race =
+        rc::solve(t.instance, model, rc::SolveOptions{}, nullptr, &t.mapping);
+    const auto routed_joint =
+        rc::solve(t.instance, model, joint_opts, nullptr, &t.mapping);
+    expect_identical(routed_race, race.solution);
+    expect_identical(routed_joint, joint.solution);
+    EXPECT_EQ(routed_race.iterations, race.solution.iterations);
+    EXPECT_EQ(routed_joint.iterations, joint.solution.iterations);
+    const auto crawl = rc::solve_continuous(t.instance, model);
+    expect_identical(rc::solve(t.instance, model), crawl);
+    expect_identical(rc::solve(t.instance, model, joint_opts), crawl);
   });
   // The sweep must genuinely exercise the improving moves — but only a
   // full-length run can meet the full-run quota.

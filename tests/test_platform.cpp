@@ -553,6 +553,33 @@ TEST(Platform, EngineMappedBatchRaceRouteAndStats) {
   EXPECT_EQ(plain_engine.stats().raced_solves +
                 plain_engine.stats().crawl_solves,
             0u);
+
+  // A crawl-kept instance: a pure-dynamic chain alone on one processor
+  // fills its window at the crawl, so racing only adds busy energy. The
+  // engine counts it as a crawl from its method, and — that method naming
+  // a closed form — in the kernel counters too.
+  rs::Mapping one(1);
+  const auto chain_app = rg::make_chain({1.0, 2.0});
+  for (rg::NodeId v = 0; v < chain_app.num_nodes(); ++v) one.assign(0, v);
+  const auto chain_pm = rm::PowerModel(rm::StaticPowerLaw(3.0, 0.0))
+                            .with_sleep(rm::make_sleep_spec(3.0, 0.0, 6.0));
+  const re::MappedInstance crawl_kept{
+      rc::make_instance(rs::build_execution_graph(chain_app, one), 6.0,
+                        rm::Platform::uniform(1, chain_pm), one),
+      one};
+  re::ReclaimEngine crawl_engine(engine_options);
+  const auto kept = crawl_engine.solve_batch(
+      std::vector<re::MappedInstance>{crawl_kept}, cont);
+  const auto kept_direct = rc::solve_race_to_idle(
+      crawl_kept.instance, rm::ContinuousModel{kInf}, one);
+  EXPECT_FALSE(kept_direct.raced);
+  expect_identical(kept[0], kept_direct.solution);
+  EXPECT_EQ(kept[0].method, "closed-form-chain");
+  const auto kept_stats = crawl_engine.stats();
+  EXPECT_EQ(kept_stats.crawl_solves, 1u);
+  EXPECT_EQ(kept_stats.raced_solves, 0u);
+  EXPECT_EQ(kept_stats.kernel_solves, 1u);
+  EXPECT_EQ(kept_stats.kernel_chain, 1u);
 }
 
 TEST(Platform, RaceToIdleRacesPastCapPinnedTasks) {

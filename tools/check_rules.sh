@@ -25,13 +25,15 @@
 #      deliberate exception carries `// rule-exempt: float-eq` on the line.
 #
 #   4. engine-route: no src/engine/*.{cpp,hpp} includes core/discrete/,
-#      core/vdd/, core/continuous/dispatch.hpp, core/continuous/sleep_dp.hpp
-#      or a continuous family solver (core/continuous/numeric_solver.hpp,
-#      waterfill.hpp). The engine is caches and kernels around
-#      core::solve: it reaches a closed form only through core::solve or
-#      the batched kernels, and routing to a family's solver lives in
-#      core::solve alone. A second dispatcher in the engine once drifted
-#      from it and answered long discrete chains differently.
+#      core/vdd/, core/continuous/dispatch.hpp, core/continuous/sleep_dp.hpp,
+#      a continuous family solver (core/continuous/numeric_solver.hpp,
+#      waterfill.hpp) or a power-down refiner
+#      (core/continuous/race_to_idle.hpp, joint_sleep.hpp). The engine is
+#      caches and kernels around core::solve: it reaches a closed form only
+#      through core::solve or the batched kernels, and routing to a
+#      family's solver or refiner lives in core::solve alone. A second
+#      dispatcher in the engine once drifted from it and answered long
+#      discrete chains differently.
 #
 # Usage: tools/check_rules.sh            lint the repo
 #        tools/check_rules.sh --self-test
@@ -166,7 +168,7 @@ rule_float_eq() {
 rule_engine_route() {
   local hits
   hits=$(grep -nE \
-      '#include "core/(discrete/|vdd/|continuous/(dispatch|sleep_dp|numeric_solver|waterfill)\.hpp)' \
+      '#include "core/(discrete/|vdd/|continuous/(dispatch|sleep_dp|numeric_solver|waterfill|race_to_idle|joint_sleep)\.hpp)' \
       "$root"/src/engine/*.cpp "$root"/src/engine/*.hpp 2>/dev/null)
   if [ -n "$hits" ]; then
     while IFS= read -r hit; do
@@ -204,12 +206,15 @@ self_test() {
   # 3. equality against a nonzero float literal
   printf 'bool injected(double x) { return x == 1.5; }\n' \
       > "$scratch/src/core/injected.cpp"
-  # 4. an engine source reaching past core::solve to a family solver, and
-  #    an engine header reaching a continuous solver directly
+  # 4. an engine source reaching past core::solve to a family solver, an
+  #    engine header reaching a continuous solver directly, and an engine
+  #    source calling a power-down refiner itself
   printf '#include "core/discrete/chain_dp.hpp"\n' \
       > "$scratch/src/engine/injected_route.cpp"
   printf '#include "core/continuous/waterfill.hpp"\n' \
       > "$scratch/src/engine/injected_waterfill.hpp"
+  printf '#include "core/continuous/joint_sleep.hpp"\n' \
+      > "$scratch/src/engine/injected_refiner.cpp"
 
   local out status
   out=$(RULES_ROOT="$scratch" "$0" 2>&1)
@@ -228,6 +233,8 @@ self_test() {
       || { echo "self-test: engine-route rule did not fire"; ok=0; }
   echo "$out" | grep -q 'engine-route: .*injected_waterfill\.hpp' \
       || { echo "self-test: engine-route rule did not fire on a header"; ok=0; }
+  echo "$out" | grep -q 'engine-route: .*injected_refiner\.cpp' \
+      || { echo "self-test: engine-route rule did not fire on a refiner"; ok=0; }
 
   # And the real tree must pass, or the gate blocks every PR.
   if ! RULES_ROOT=. "$0" > /dev/null 2>&1; then

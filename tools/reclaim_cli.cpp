@@ -254,10 +254,12 @@ int cmd_solve(const Args& args) {
   const auto energy_model = parse_model(args);
   const auto solve_options = parse_solve_options(args);
 
+  // The refiners are called here, not through core::solve, for the
+  // crawl / race / joint split they report.
+  const bool priced =
+      core::prices_mapping(instance, energy_model, solve_options);
   core::Solution solution;
-  if (instance.platform.has_sleep() &&
-      std::holds_alternative<model::ContinuousModel>(energy_model) &&
-      solve_options.sleep_mode == core::SleepMode::kJoint) {
+  if (priced && solve_options.sleep_mode == core::SleepMode::kJoint) {
     // Continuous + power-down under --joint-sleep: per-gap sleep/idle/
     // crawl decisions refined on top of the race-to-idle anchor.
     core::JointSleepOptions joint;
@@ -285,8 +287,7 @@ int cmd_solve(const Args& args) {
       }
       std::cerr << "\n";
     }
-  } else if (instance.platform.has_sleep() &&
-             std::holds_alternative<model::ContinuousModel>(energy_model)) {
+  } else if (priced) {
     // Continuous + power-down: run the race-to-idle layer (crawl vs
     // uniformly faster schedules under whole-platform accounting).
     core::RaceToIdleOptions race;
