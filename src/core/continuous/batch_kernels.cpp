@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <utility>
+#include <variant>
 
 #include "util/arena.hpp"
 #include "util/error.hpp"
@@ -470,23 +471,27 @@ std::optional<KernelPlan> plan_reduction(
 
 }  // namespace
 
+bool kernel_eligible(const Instance& instance, const model::EnergyModel& model,
+                     const SolveOptions& options) {
+  // core::solve sends kDp on a sleep-enabled platform to the sleep-DP
+  // oracle, never to a closed form.
+  return std::holds_alternative<model::ContinuousModel>(model) &&
+         !(options.sleep_mode == SleepMode::kDp &&
+           instance.platform.has_sleep());
+}
+
 std::optional<KernelPlan> plan_kernel(const Instance& instance,
                                       const model::EnergyModel& model,
                                       const SolveOptions& options,
                                       const graph::ShapeInfo* shape) {
-  const auto* continuous = std::get_if<model::ContinuousModel>(&model);
-  if (continuous == nullptr) return std::nullopt;
-  // core::solve sends kDp on a sleep-enabled platform to the sleep-DP
-  // oracle, never to a closed form.
-  if (options.sleep_mode == SleepMode::kDp && instance.platform.has_sleep()) {
-    return std::nullopt;
-  }
+  if (!kernel_eligible(instance, model, options)) return std::nullopt;
   std::optional<graph::ShapeInfo> analyzed;
   const graph::ShapeInfo& info =
       shape != nullptr ? *shape
                        : analyzed.emplace(graph::analyze(instance.exec_graph));
+  const auto& continuous = std::get<model::ContinuousModel>(model);
   auto plan =
-      plan_reduction(instance, *continuous, options.continuous_s_min, info);
+      plan_reduction(instance, continuous, options.continuous_s_min, info);
   if (plan && options.leakage == LeakageMode::kExact &&
       (plan->hetero || ((plan->family == KernelFamily::kFork ||
                          plan->family == KernelFamily::kTree ||

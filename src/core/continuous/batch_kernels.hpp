@@ -32,11 +32,11 @@
 // (solve_closed_form); the engine also solves runs of instances that
 // share one topology and power model and differ only in weights W and
 // deadline D — sweeps, Pareto curves, a daemon's steady state — in one
-// pass: plan_kernel on the run's head, kernel_run_compatible to extend
-// it, solve_kernel_run over the whole run, with no per-instance
-// dispatch, scratch allocation or cache traffic. Either way an instance
-// gets the same operations in the same order, so a long run is
-// bit-identical to core::solve by construction.
+// pass: plan_kernel on the run's head, kernel_eligible and
+// kernel_run_compatible to extend it, solve_kernel_run over the run, with
+// no per-instance dispatch, scratch allocation or cache traffic. Either
+// way an instance gets the same operations in the same order, so a long
+// run is bit-identical to core::solve by construction.
 //
 // Hand-back: an instance whose closed form violates the s_crit floor (or
 // the SP speed cap, or a hetero chain off the equal-speed form) is left
@@ -44,9 +44,9 @@
 // solves it with the floored numeric barrier solver (core::solve).
 //
 // Eligibility (plan_kernel):
-//   - Continuous energy model, positive deadline, and not the sleep-DP
-//     oracle (SleepMode::kDp on a sleep-enabled platform, which core::solve
-//     sends to solve_sleep_dp).
+//   - kernel_eligible (a Continuous energy model, and not the sleep-DP
+//     oracle: SleepMode::kDp on a sleep-enabled platform, which
+//     core::solve sends to solve_sleep_dp), and a positive deadline.
 //   - Homogeneous tasks (one shared power model and processor cap) for
 //     every family; heterogeneous chains plan as hetero runs with
 //     per-slot caps and s_crit floors (big.LITTLE sweeps). Weights and
@@ -105,6 +105,15 @@ struct KernelPlan {
   std::vector<double> caps;
   std::vector<double> floors;
 };
+
+/// True when no model or sleep route rules `instance` out of the kernels
+/// before its shape is looked at: a Continuous model, and not the sleep-DP
+/// oracle (SleepMode::kDp on a sleep-enabled platform). plan_kernel's
+/// first test; the engine asks it of every instance of a run, since run
+/// compatibility compares only the processors tasks use.
+[[nodiscard]] bool kernel_eligible(const Instance& instance,
+                                   const model::EnergyModel& model,
+                                   const SolveOptions& options);
 
 /// Returns the kernel plan when `instance` under `model` and `options`
 /// takes a closed-form route through core::solve; std::nullopt otherwise.

@@ -1,9 +1,9 @@
 #include "engine/reclaim_engine.hpp"
 
 #include <algorithm>
-#include <cstdint>
 #include <exception>
 #include <future>
+#include <optional>
 #include <utility>
 
 #include "core/continuous/batch_kernels.hpp"
@@ -132,39 +132,55 @@ std::vector<core::Solution> ReclaimEngine::kernel_batch(
   const auto solve_scalar = [&](std::size_t i) {
     return solve_routed(instance_at(i), mapping_at(i), model, options);
   };
-  // The kernels price no idle gaps: an instance whose mapping can change
-  // its answer is no kernel candidate.
+  // Asked of every instance, not only of a run's head: run compatibility
+  // compares only the processors tasks use, so a sleep spec elsewhere on
+  // the platform would otherwise ride along behind a no-sleep head. The
+  // kernels price no idle gaps either: an instance whose mapping can
+  // change its answer is no kernel candidate.
   const auto kernel_ok = [&](std::size_t i) {
-    return mapping_at(i) == nullptr ||
-           !core::prices_mapping(instance_at(i), model, options);
+    const core::Instance& instance = instance_at(i);
+    return core::kernel_eligible(instance, model, options) &&
+           (mapping_at(i) == nullptr ||
+            !core::prices_mapping(instance, model, options));
   };
   // One past the maximal candidate run starting at i (cheap structural
   // predicates only — topology/model equality, no planning), or i itself
-  // when instance i is no candidate. With `ptrs`, the run's instances are
-  // recorded during the scan.
+  // when instance i is no candidate. The run's instances are recorded in
+  // `ptrs` during the scan.
   const auto run_end = [&](std::size_t i, const core::Instance** ptrs) {
     if (!kernel_ok(i) || !(instance_at(i).deadline > 0.0)) return i;
     const core::Instance& head = instance_at(i);
-    if (ptrs != nullptr) ptrs[0] = &head;
+    ptrs[0] = &head;
     std::size_t j = i + 1;
     while (j < n && kernel_ok(j)) {
       const core::Instance& next = instance_at(j);
       if (!core::kernel_run_compatible(head, next)) break;
-      if (ptrs != nullptr) ptrs[j - i] = &next;
+      ptrs[j - i] = &next;
       ++j;
     }
     return j;
   };
-  // Solves one planned kernel segment [lo, hi) (ptrs holds its instances)
-  // in a single pass, bypassing per-instance dispatch and the memo (a run
-  // this long is a sweep of distinct instances, cheaper to solve than to
-  // probe). An instance the kernel hands back (floor violation, or a cap
-  // overrun it will not adjudicate) is re-solved through solve_scalar,
-  // which does its own accounting.
-  const auto solve_segment = [&](const core::KernelPlan& plan,
-                                 const core::Instance* const* ptrs,
-                                 std::size_t lo, std::size_t hi) {
-    core::solve_kernel_run(plan, ptrs, hi - lo, out.data() + lo);
+  // Solves [lo, hi), whose instances `ptrs` holds. With a head, the range
+  // is (a piece of) a run of at least kKernelMinRun — a sweep of distinct
+  // instances, cheaper to solve than to probe: it is planned from the
+  // run's head, feeding the planner the shape cache's analysis, and
+  // solved in one pass that bypasses per-instance dispatch and the memo.
+  // An instance the kernel hands back (floor violation, or a cap overrun
+  // it will not adjudicate), a run the planner rejects and a range
+  // without a head go through solve_scalar, which does its own accounting.
+  const auto solve_range = [&](const core::Instance* head,
+                               const core::Instance* const* ptrs,
+                               std::size_t lo, std::size_t hi) {
+    std::optional<core::KernelPlan> plan;
+    if (head != nullptr) {
+      const graph::ShapeInfo shape = shape_of(head->exec_graph);
+      plan = core::plan_kernel(*head, model, options, &shape);
+    }
+    if (!plan) {
+      for (std::size_t k = lo; k < hi; ++k) out[k] = solve_scalar(k);
+      return;
+    }
+    core::solve_kernel_run(*plan, ptrs, hi - lo, out.data() + lo);
     std::size_t solved = 0;
     for (std::size_t k = lo; k < hi; ++k) {
       if (out[k].method.empty()) {
@@ -176,140 +192,73 @@ std::vector<core::Solution> ReclaimEngine::kernel_batch(
     instances_.fetch_add(solved, std::memory_order_relaxed);
     fresh_solves_.fetch_add(solved, std::memory_order_relaxed);
     kernel_solves_.fetch_add(solved, std::memory_order_relaxed);
-    kernel_family_[static_cast<std::size_t>(plan.family)].fetch_add(
+    kernel_family_[static_cast<std::size_t>(plan->family)].fetch_add(
         solved, std::memory_order_relaxed);
   };
 
-  // Single-threaded engines take a fused discover/plan/solve pass: each
-  // run is kernel-solved right after its compatibility scan, while the
-  // instances are still cache-hot — a 20k-instance sweep streams the
-  // batch from memory once instead of twice. Semantics match the pooled
-  // path below exactly (same predicates, same plan, same hand-back).
-  if (!pool_) {
-    auto& arena = util::Arena::scratch();
-    const util::Arena::Scope scope(arena);
-    auto ptrs = arena.alloc<const core::Instance*>(n);
-    std::size_t i = 0;
-    while (i < n) {
+  auto& arena = util::Arena::scratch();
+  const util::Arena::Scope scope(arena);
+  auto ptrs = arena.alloc<const core::Instance*>(n);
+  const std::size_t workers = pool_ ? std::min(pool_->size(), n) : 1;
+  // One worker takes the fused pass: each run is solved right after its
+  // compatibility scan, while the instances are still cache-hot — a
+  // 20k-instance sweep streams the batch from memory once, not twice.
+  if (workers <= 1) {
+    for (std::size_t i = 0; i < n;) {
       const std::size_t j = run_end(i, ptrs.data());
-      if (j == i) {
-        out[i] = solve_scalar(i);
-        ++i;
-        continue;
-      }
-      std::optional<core::KernelPlan> plan;
-      if (j - i >= kKernelMinRun) {
-        const graph::ShapeInfo shape = shape_of(ptrs[0]->exec_graph);
-        plan = core::plan_kernel(*ptrs[0], model, options, &shape);
-      }
-      if (plan) {
-        solve_segment(*plan, ptrs.data(), i, j);
-      } else {
-        for (std::size_t k = i; k < j; ++k) out[k] = solve_scalar(k);
+      const std::size_t end = std::max(j, i + 1);
+      const core::Instance* head = j - i >= kKernelMinRun ? ptrs[0] : nullptr;
+      solve_range(head, ptrs.data(), i, end);
+      i = end;
+    }
+    return out;
+  }
+
+  // Several workers: the same scan, on the caller's thread, cuts the
+  // batch into units. A sweep splits into pieces of at most `chunk` that
+  // each keep the run's head, so every piece is kernel-solved as the
+  // fused pass solves the whole run and routing never depends on the
+  // thread count; the instances between sweeps merge into units of up to
+  // `chunk`.
+  struct Unit {
+    const core::Instance* head;  ///< the run's head; null outside sweeps
+    std::size_t lo;
+    std::size_t hi;
+  };
+  const std::size_t chunk = chunk_size(n, workers);
+  std::vector<Unit> units;
+  for (std::size_t i = 0; i < n;) {
+    const std::size_t j = run_end(i, ptrs.data() + i);
+    if (j - i >= kKernelMinRun) {
+      for (std::size_t lo = i; lo < j; lo += chunk) {
+        units.push_back({ptrs[i], lo, std::min(j, lo + chunk)});
       }
       i = j;
+      continue;
     }
-    return out;
-  }
-
-  // Pass 1 (caller thread): discover the candidate runs. Only runs of at
-  // least kKernelMinRun count as sweeps of distinct instances; shorter
-  // ones go through solve_scalar (memo, then core::solve).
-  struct Run {
-    std::size_t begin;
-    std::size_t end;
-  };
-  std::vector<Run> runs;
-  for (std::size_t i = 0; i < n;) {
-    const std::size_t j = run_end(i, nullptr);
-    if (j - i >= kKernelMinRun) runs.push_back({i, j});
-    i = std::max(j, i + 1);
-  }
-
-  // Pass 2: plan each run from its head, feeding the planner the shape
-  // cache's analysis (classification, SP tree, composition plan) so a
-  // cached topology is never re-decomposed. Planning a tree/SP run walks
-  // the topology, so independent runs are sharded across the pool.
-  std::vector<std::optional<core::KernelPlan>> run_plans(runs.size());
-  const auto plan_run = [&](std::size_t r) {
-    const core::Instance& head = instance_at(runs[r].begin);
-    const graph::ShapeInfo shape = shape_of(head.exec_graph);
-    run_plans[r] = core::plan_kernel(head, model, options, &shape);
-  };
-  if (runs.size() > 1) {
-    std::exception_ptr plan_error;
-    util::Mutex plan_error_mutex;
-    std::vector<std::future<void>> futures;
-    futures.reserve(runs.size());
-    for (std::size_t r = 0; r < runs.size(); ++r) {
-      futures.push_back(pool_->submit([&, r] {
-        try {
-          plan_run(r);
-        } catch (...) {
-          const util::MutexLock lock(plan_error_mutex);
-          if (!plan_error) plan_error = std::current_exception();
-        }
-      }));
-    }
-    for (auto& f : futures) f.get();
-    if (plan_error) std::rethrow_exception(plan_error);
-  } else {
-    for (std::size_t r = 0; r < runs.size(); ++r) plan_run(r);
-  }
-
-  // plan_of[i] holds (plan index + 1) for kernel-routed instances, 0 for
-  // scalar ones; a run the planner rejected stays scalar wholesale.
-  std::vector<core::KernelPlan> plans;
-  std::vector<std::uint32_t> plan_of(n, 0);
-  for (std::size_t r = 0; r < runs.size(); ++r) {
-    if (!run_plans[r]) continue;
-    plans.push_back(std::move(*run_plans[r]));
-    const auto tag = static_cast<std::uint32_t>(plans.size());
-    for (std::size_t k = runs[r].begin; k < runs[r].end; ++k) plan_of[k] = tag;
-  }
-
-  // Pass 3: drain the batch in dynamic chunks pulled from a shared cursor,
-  // solving the kernel segments inside a chunk in one pass and everything
-  // else via solve_scalar. The first exception aborts the batch and is
-  // rethrown on the caller's thread.
-  const auto solve_range = [&](std::size_t lo, std::size_t hi) {
-    auto& arena = util::Arena::scratch();
-    const util::Arena::Scope scope(arena);
-    auto ptrs = arena.alloc<const core::Instance*>(hi - lo);
-    std::size_t k = lo;
-    while (k < hi) {
-      const std::uint32_t tag = plan_of[k];
-      if (tag == 0) {
-        out[k] = solve_scalar(k);
-        ++k;
-        continue;
+    for (const std::size_t end = std::max(j, i + 1); i < end; ++i) {
+      if (units.empty() || units.back().head != nullptr ||
+          units.back().hi - units.back().lo == chunk) {
+        units.push_back({nullptr, i, i});
       }
-      // Contiguous segment of one planned run inside this chunk.
-      std::size_t seg_end = k;
-      while (seg_end < hi && plan_of[seg_end] == tag) {
-        ptrs[seg_end - k] = &instance_at(seg_end);
-        ++seg_end;
-      }
-      solve_segment(plans[tag - 1], ptrs.data(), k, seg_end);
-      k = seg_end;
+      ++units.back().hi;
     }
-  };
-  const std::size_t workers = std::min(pool_->size(), n);
-  if (workers <= 1) {
-    solve_range(0, n);
-    return out;
   }
-  const std::size_t chunk = chunk_size(n, workers);
+
+  // Workers pull units from a shared cursor, so skewed instances cannot
+  // strand a thread. The first exception aborts the batch and is rethrown
+  // on the caller's thread.
   std::atomic<std::size_t> cursor{0};
   std::atomic<bool> abort{false};
   std::exception_ptr first_error;
   util::Mutex error_mutex;
   const auto drain = [&] {
     while (!abort.load(std::memory_order_relaxed)) {
-      const std::size_t lo = cursor.fetch_add(chunk, std::memory_order_relaxed);
-      if (lo >= n) return;
+      const std::size_t u = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (u >= units.size()) return;
+      const Unit& unit = units[u];
       try {
-        solve_range(lo, std::min(n, lo + chunk));
+        solve_range(unit.head, ptrs.data() + unit.lo, unit.lo, unit.hi);
       } catch (...) {
         {
           const util::MutexLock lock(error_mutex);
@@ -322,8 +271,9 @@ std::vector<core::Solution> ReclaimEngine::kernel_batch(
   };
   std::vector<std::future<void>> futures;
   futures.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w)
+  for (std::size_t w = 0; w < std::min(workers, units.size()); ++w) {
     futures.push_back(pool_->submit(drain));
+  }
   for (auto& f : futures) f.get();
   if (first_error) std::rethrow_exception(first_error);
   return out;

@@ -10,9 +10,11 @@
 // instance takes the plain route and shares its memo entries).
 //
 //   - solve_batch() shards a span of instances across a ThreadPool using
-//     dynamic (work-stealing-friendly) chunking: workers pull small index
-//     chunks from a shared atomic cursor, so skewed instances (one huge
-//     general DAG among many chains) cannot strand a thread.
+//     dynamic (work-stealing-friendly) chunking: workers pull small units
+//     (a piece of a sweep, or a chunk of other instances) from a shared
+//     atomic cursor, so skewed instances (one huge general DAG among many
+//     chains) cannot strand a thread. A single worker runs the same
+//     per-range solve in one fused scan-and-solve pass.
 //   - A per-structure shape cache runs graph::analyze once per distinct
 //     topology and hands the cached graph::ShapeInfo to core::solve, so
 //     repeated shapes skip the classification and the SP decomposition.
@@ -207,14 +209,15 @@ class ReclaimEngine {
   /// The topology's graph::analyze with its composition plan attached,
   /// cached: one analysis per distinct topology.
   graph::ShapeInfo shape_of(const graph::Digraph& g);
-  /// Kernel-aware batch driver shared by both solve_batch overloads:
-  /// discovers candidate runs on the caller's thread (cheap structural
-  /// predicates only), plans them — sharded across the pool when there is
-  /// more than one, each plan reusing the shape cache's analysis of its
-  /// head topology — then drains the batch in dynamic chunks (so skewed
-  /// instances cannot strand a thread), solving kernel segments in one
-  /// pass per chunk and everything else via solve_routed. mapping_at(i)
-  /// is instance i's mapping, or null.
+  /// Kernel-aware batch driver shared by both solve_batch overloads. It
+  /// scans for candidate runs on the caller's thread (cheap structural
+  /// predicates only) and hands each range to one solve_range: a run of
+  /// at least kKernelMinRun is planned from its head (reusing the shape
+  /// cache's analysis) and kernel-solved in one pass, everything else
+  /// goes through solve_routed. One worker solves each run right after
+  /// its scan; several cut sweeps into pieces that keep their run's head,
+  /// merge the rest into chunks, and drain the units from a shared
+  /// cursor. mapping_at(i) is instance i's mapping, or null.
   std::vector<core::Solution> kernel_batch(
       std::size_t n,
       const std::function<const core::Instance&(std::size_t)>& instance_at,

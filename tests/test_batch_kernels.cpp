@@ -130,9 +130,9 @@ std::vector<rc::Instance> hetero_chain_sweep(std::uint64_t seed,
 void expect_batches_identical(std::span<const rc::Instance> instances,
                               const rm::EnergyModel& model,
                               const rc::SolveOptions& options) {
-  // threads == 1 takes the fused discover/plan/solve pass, threads > 1
-  // the sharded pass-1/pass-2 pipeline — both must match core::solve
-  // instance by instance.
+  // threads == 1 takes the fused scan-and-solve pass, threads > 1 the
+  // unit drain over run pieces — both must match core::solve instance by
+  // instance.
   re::EngineOptions kernel_opts;
   kernel_opts.threads = 1;
   kernel_opts.memoize = false;  // force every instance through a solver
@@ -448,8 +448,7 @@ TEST(BatchKernels, ShortRunsAreKernelSolvedBehindTheMemo) {
   // instances: planned once, kernel-solved, and kept out of the memo. One
   // fewer goes through the memo instance by instance, and each miss is a
   // core::solve — a kernel run of one. Pinned on both kernel_batch
-  // branches: the fused 1-thread pass and the pooled discover/plan
-  // pipeline.
+  // drivers: the fused 1-thread pass and the pooled unit drain.
   const rm::EnergyModel cont = rm::ContinuousModel{2.0};
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
@@ -725,6 +724,74 @@ TEST(BatchKernels, SleepDpBatchDispatchesTheOracle) {
       expect_identical(out[k], reference);
       expect_identical(engine.solve_one(chains[k], model, options), reference);
     }
+    EXPECT_EQ(engine.stats().kernel_solves, 0u);
+  }
+
+  // A sleep spec on a processor no task uses still sends core::solve to
+  // the oracle, which throws off its single-processor domain. Run
+  // compatibility compares only the processors tasks use, so such
+  // instances must not ride into a kernel run behind a no-sleep head.
+  const auto plain = rm::make_power_model(3.0, 2.0);
+  std::vector<rc::Instance> hidden_sleep;
+  for (std::size_t k = 0; k < re::kKernelMinRun; ++k) {
+    std::vector<rm::ProcessorSpec> specs(2, rm::ProcessorSpec{plain});
+    if (k > 0) specs[1].power = power;
+    hidden_sleep.push_back(rc::make_instance(
+        rg::make_chain({1.0, 1.0 + 0.1 * static_cast<double>(k), 2.0}), 6.0,
+        rm::Platform(specs), std::vector<std::size_t>(3, 0)));
+  }
+  ASSERT_TRUE(rc::plan_kernel(hidden_sleep[0], model, options).has_value());
+  ASSERT_TRUE(rc::kernel_run_compatible(hidden_sleep[0], hidden_sleep[1]));
+  EXPECT_FALSE(rc::kernel_eligible(hidden_sleep[1], model, options));
+  std::string reference_error;
+  try {
+    (void)rc::solve(hidden_sleep[1], model, options);
+  } catch (const std::exception& e) {
+    reference_error = e.what();
+  }
+  ASSERT_FALSE(reference_error.empty());
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    re::ReclaimEngine engine({.threads = threads});
+    try {
+      (void)engine.solve_batch(hidden_sleep, model, options);
+      ADD_FAILURE() << "the batch answered what core::solve rejects";
+    } catch (const std::exception& e) {
+      EXPECT_EQ(e.what(), reference_error);
+    }
+  }
+}
+
+// ------------------------------------------------- non-kernel models
+
+TEST(BatchKernels, VddBatchPlansNothing) {
+  // The Vdd LP reads no shape, and no model but Continuous has kernels:
+  // a Vdd batch of kernel-length chain runs must analyze no topology,
+  // exactly like the per-instance route.
+  const rm::EnergyModel model = rm::VddHoppingModel{rm::ModeSet({1.0, 2.0})};
+  std::vector<rc::Instance> runs;
+  for (std::size_t length = 2; length < 7; ++length) {
+    for (std::size_t k = 0; k < re::kKernelMinRun; ++k) {
+      const double w = 1.0 + 0.1 * static_cast<double>(k);
+      const double deadline = 1.5 * static_cast<double>(length);
+      runs.push_back(rc::make_instance(
+          rg::make_chain(std::vector<double>(length, w)), deadline, 3.0));
+    }
+  }
+  re::ReclaimEngine single({.threads = 1});
+  std::vector<rc::Solution> reference;
+  for (const auto& instance : runs) {
+    reference.push_back(single.solve_one(instance, model));
+  }
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    re::ReclaimEngine engine({.threads = threads});
+    const auto out = engine.solve_batch(runs, model);
+    ASSERT_EQ(out.size(), runs.size());
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      expect_identical(out[i], reference[i]);
+    }
+    EXPECT_EQ(engine.stats().shape_entries, single.stats().shape_entries);
     EXPECT_EQ(engine.stats().kernel_solves, 0u);
   }
 }

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <future>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -242,21 +243,57 @@ TEST(ReclaimEngine, MatchesSingleShotSolve) {
 }
 
 TEST(ReclaimEngine, DeterministicAcrossThreadCounts) {
-  const auto instances = mixed_instances(23);
+  const auto mixed = mixed_instances(23);
   const rm::EnergyModel model = rm::ContinuousModel{2.0};
 
+  // Two sweeps between the mixed instances: 57 chains, and 45 leaky forks
+  // whose s_crit floor hands some instances back. The pooled driver cuts
+  // sweeps into pieces of n / (8 * workers) — 7 at 2 threads, 3 at 4 — so
+  // some pieces are shorter than kKernelMinRun. Every piece keeps its
+  // run's head, so routing (kernel, hand-back, memo) matches the fused
+  // 1-thread pass.
+  reclaim::util::Rng rng(29);
+  std::vector<rc::Instance> instances(mixed.begin(), mixed.begin() + 10);
+  for (std::size_t k = 0; k < 57; ++k) {
+    auto g = rg::make_chain(8, rng);
+    const double d_min = rc::min_deadline(g, 1.0);
+    instances.push_back(rc::make_instance(std::move(g), 1.5 * d_min));
+  }
+  instances.insert(instances.end(), mixed.begin() + 10, mixed.end());
+  for (std::size_t k = 0; k < 45; ++k) {
+    auto g = rg::make_fork(5, rng);
+    const double d_min = rc::min_deadline(g, 1.0);
+    instances.push_back(rc::make_instance(
+        std::move(g), (1.1 + 0.1 * static_cast<double>(k % 20)) * d_min,
+        rm::StaticPowerLaw(3.0, 0.5)));
+  }
+
   std::vector<std::vector<rc::Solution>> runs;
+  std::vector<re::EngineStats> stats;
   for (std::size_t threads : {1, 2, 4}) {
     re::EngineOptions engine_options;
     engine_options.threads = threads;
     re::ReclaimEngine engine(engine_options);
     runs.push_back(engine.solve_batch(instances, model));
+    stats.push_back(engine.stats());
   }
+  // The forks' hand-backs went through the memo; the sweeps did not.
+  EXPECT_GT(stats[0].memo_entries, mixed.size());
+  EXPECT_LT(stats[0].memo_entries, mixed.size() + 45);
   for (std::size_t r = 1; r < runs.size(); ++r) {
+    SCOPED_TRACE("run " + std::to_string(r));
     ASSERT_EQ(runs[r].size(), runs[0].size());
     for (std::size_t i = 0; i < runs[0].size(); ++i) {
       expect_identical(runs[r][i], runs[0][i]);
     }
+    EXPECT_EQ(stats[r].fresh_solves, stats[0].fresh_solves);
+    EXPECT_EQ(stats[r].kernel_solves, stats[0].kernel_solves);
+    EXPECT_EQ(stats[r].kernel_single, stats[0].kernel_single);
+    EXPECT_EQ(stats[r].kernel_chain, stats[0].kernel_chain);
+    EXPECT_EQ(stats[r].kernel_fork, stats[0].kernel_fork);
+    EXPECT_EQ(stats[r].kernel_tree, stats[0].kernel_tree);
+    EXPECT_EQ(stats[r].kernel_sp, stats[0].kernel_sp);
+    EXPECT_EQ(stats[r].memo_entries, stats[0].memo_entries);
   }
 }
 
