@@ -19,11 +19,12 @@
 //     topology and hands the cached graph::ShapeInfo to core::solve, so
 //     repeated shapes skip the classification and the SP decomposition.
 //   - A run of >= kKernelMinRun instances sharing a topology and power
-//     model is a sweep: it is planned once and solved in one pass by the
-//     closed-form kernels (core/continuous/batch_kernels), bypassing the
-//     memo. core::solve answers its closed forms with the same kernels, so
-//     the long run is bit-identical to it; instances the planner rejects
-//     or the kernel hands back take core::solve.
+//     model is a sweep: it is planned from its head and solved in one
+//     pass (one per piece in a pooled engine) by the closed-form kernels
+//     (core/continuous/batch_kernels), bypassing the memo. core::solve
+//     answers its closed forms with the same kernels, so the long run is
+//     bit-identical to it; instances the planner rejects or the kernel
+//     hands back take core::solve.
 //   - A solution memo keyed by a canonical instance encoding
 //     (engine/instance_key.hpp) returns identical sub-instances of a sweep
 //     without re-solving; memoized results are bit-identical to fresh ones
@@ -61,8 +62,8 @@ namespace reclaim::engine {
 
 /// Minimum consecutive compatible instances for solve_batch to treat a
 /// run as a sweep of distinct instances: such a run bypasses the memo and
-/// is planned once for the whole run. Shorter runs go instance by
-/// instance through the memo, and each miss is a core::solve.
+/// is planned from its head. Shorter runs go instance by instance
+/// through the memo, and each miss is a core::solve.
 inline constexpr std::size_t kKernelMinRun = 4;
 
 struct EngineOptions {
