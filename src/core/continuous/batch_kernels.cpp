@@ -525,13 +525,10 @@ std::optional<KernelFamily> kernel_family_of(std::string_view method) {
 
 bool kernel_run_compatible(const Instance& head, const Instance& other) {
   if (other.deadline <= 0.0) return false;
-  const auto& a = head.exec_graph;
-  const auto& b = other.exec_graph;
-  const std::size_t n = a.num_nodes();
-  if (b.num_nodes() != n || b.num_edges() != a.num_edges()) return false;
-  for (graph::NodeId v = 0; v < n; ++v) {
-    if (a.successors(v) != b.successors(v)) return false;
-  }
+  // Instances of one sweep copy one graph and share its structure, so
+  // this is a pointer compare; otherwise the adjacency is compared.
+  if (!head.exec_graph.same_topology(other.exec_graph)) return false;
+  const std::size_t n = head.exec_graph.num_nodes();
   // Per-slot power model and folded cap equality (+inf == +inf included):
   // for a homogeneous platform one slot speaks for all (this scan runs
   // once per batch instance, so the short-circuit matters for sweep

@@ -144,7 +144,8 @@ struct KernelPlan {
     std::string_view method);
 
 /// True when `other` can share `head`'s plan: positive deadline, the
-/// same topology (node-for-node successor lists), and the same per-slot
+/// same topology (graph::Digraph::same_topology — O(1) when the graphs
+/// share a structure, as copies of one graph do), and the same per-slot
 /// power model and processor cap (for homogeneous heads this degenerates
 /// to the shared model/cap check). Weights and deadlines are free to
 /// differ — that is the batchable axis.

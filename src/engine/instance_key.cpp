@@ -63,12 +63,16 @@ void put_platform(std::string& out, const core::Instance& instance) {
   for (std::size_t p : instance.assignment) put_u64(out, p);
 }
 
+// The edges in Digraph::edges() order — (from, insertion order) — read
+// straight off the successor lists, with no edge vector built.
 void put_topology(std::string& out, const graph::Digraph& g) {
   put_u64(out, g.num_nodes());
   put_u64(out, g.num_edges());
-  for (const auto& e : g.edges()) {
-    put_u64(out, e.from);
-    put_u64(out, e.to);
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (graph::NodeId s : g.successors(v)) {
+      put_u64(out, v);
+      put_u64(out, s);
+    }
   }
 }
 

@@ -19,8 +19,10 @@
 //     topology and hands the cached graph::ShapeInfo to core::solve, so
 //     repeated shapes skip the classification and the SP decomposition.
 //   - A run of >= kKernelMinRun instances sharing a topology and power
-//     model is a sweep: it is planned from its head and solved in one
-//     pass (one per piece in a pooled engine) by the closed-form kernels
+//     model is a sweep (instances copied from one graph share its
+//     structure, so the topology test is a pointer compare): it is
+//     planned from its head and solved in one pass (one per piece in a
+//     pooled engine) by the closed-form kernels
 //     (core/continuous/batch_kernels), bypassing the memo. core::solve
 //     answers its closed forms with the same kernels, so the long run is
 //     bit-identical to it; instances the planner rejects or the kernel

@@ -11,7 +11,9 @@
 // per-connection reader/worker handoff, the shared LRU memo, the
 // dispatch/shape cache, and the live STATS sampler are all exercised
 // simultaneously — exactly the surface the thread-
-// safety annotations (util/annotated_mutex.hpp) claim to protect.
+// safety annotations (util/annotated_mutex.hpp) claim to protect. The
+// last test races copies of one graph::Digraph, whose copies share one
+// reference-counted structure.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -25,15 +27,19 @@
 #include <vector>
 
 #include "engine/solution_cache.hpp"
+#include "graph/digraph.hpp"
+#include "graph/generators.hpp"
 #include "model/energy_model.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "net/wire.hpp"
 #include "util/annotated_mutex.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace rn = reclaim::net;
 namespace rc = reclaim::core;
+namespace rg = reclaim::graph;
 namespace rm = reclaim::model;
 namespace re = reclaim::engine;
 namespace ru = reclaim::util;
@@ -316,4 +322,48 @@ TEST(ConcurrencyStress, ThreadPoolChurn) {
     }  // destructor drains the queue before joining
     EXPECT_EQ(counter.load(), 128);
   }
+}
+
+TEST(ConcurrencyStress, SharedGraphCopiesMutateIndependently) {
+  // Copies of one graph share its structure; a mutation copies it first.
+  // Every thread copies the shared graph and mutates its copy while the
+  // other threads read the original and their own copies, so the
+  // structure's reference count and the copy-before-write test race
+  // against each other's reads.
+  ru::Rng rng(21);
+  const rg::Digraph original = rg::make_fork_join_chain(3, 4, rng);
+  const std::size_t n = original.num_nodes();
+  const std::size_t m = original.num_edges();
+  const auto edges = original.edges();
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 300;
+
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        rg::Digraph copy = original;
+        const rg::Digraph reader = copy;  // shares until copy mutates
+        EXPECT_TRUE(copy.same_topology(original));
+        copy.set_weight(0, 1.0 + t);
+        const rg::NodeId extra = copy.add_node(2.0, "extra");
+        copy.add_edge(0, extra);
+        copy.set_name(1, "thread" + std::to_string(t));
+        EXPECT_FALSE(copy.same_topology(original));
+        EXPECT_EQ(copy.num_edges(), m + 1);
+        EXPECT_EQ(copy.successors(0).back(), extra);
+        EXPECT_EQ(copy.name(1), "thread" + std::to_string(t));
+        // The original and the untouched copy read as before.
+        EXPECT_TRUE(reader.same_topology(original));
+        EXPECT_EQ(reader.edges(), edges);
+        EXPECT_EQ(original.num_nodes(), n);
+        EXPECT_EQ(original.edges(), edges);
+        EXPECT_NE(original.name(1), copy.name(1));
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(original.num_edges(), m);
+  EXPECT_EQ(original.edges(), edges);
 }

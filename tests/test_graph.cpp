@@ -3,13 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <functional>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/classify.hpp"
 #include "graph/digraph.hpp"
 #include "graph/dot.hpp"
 #include "graph/generators.hpp"
 #include "graph/sp_tree.hpp"
+#include "engine/instance_key.hpp"
 #include "graph/topo.hpp"
 #include "util/error.hpp"
 
@@ -36,6 +43,119 @@ rg::GraphShape classify_checked(const rg::Digraph& g) {
   EXPECT_EQ(info.sp_tree != nullptr,
             shape == rg::GraphShape::kSeriesParallel);
   return shape;
+}
+
+/// Everything a Digraph holds, for before/after comparisons.
+struct Snapshot {
+  std::vector<double> weights;
+  std::vector<std::string> names;
+  std::vector<std::vector<rg::NodeId>> succs;
+  std::vector<std::vector<rg::NodeId>> preds;
+  std::size_t num_edges = 0;
+
+  friend bool operator==(const Snapshot&, const Snapshot&) = default;
+};
+
+Snapshot snapshot(const rg::Digraph& g) {
+  Snapshot s;
+  for (rg::NodeId v = 0; v < g.num_nodes(); ++v) {
+    s.weights.push_back(g.weight(v));
+    s.names.push_back(g.name(v));
+    s.succs.push_back(g.successors(v));
+    s.preds.push_back(g.predecessors(v));
+  }
+  s.num_edges = g.num_edges();
+  return s;
+}
+
+/// a -> b, a -> c, named, with distinct weights.
+rg::Digraph small_graph() {
+  rg::Digraph g;
+  g.add_node(1.0, "a");
+  g.add_node(2.0, "b");
+  g.add_node(3.0, "c");
+  g.add_edge(0, 1);
+  g.add_edge(0, 2);
+  return g;
+}
+
+/// Every mutator, each applied so that it changes the graph it is given.
+std::vector<std::pair<std::string, std::function<void(rg::Digraph&)>>>
+mutators() {
+  return {
+      {"add_node", [](rg::Digraph& g) { g.add_node(4.0, "d"); }},
+      {"add_edge", [](rg::Digraph& g) { g.add_edge(1, 2); }},
+      {"add_edge_if_absent",
+       [](rg::Digraph& g) { EXPECT_TRUE(g.add_edge_if_absent(2, 1)); }},
+      {"set_name", [](rg::Digraph& g) { g.set_name(1, "renamed"); }},
+      {"set_weight", [](rg::Digraph& g) { g.set_weight(2, 9.0); }},
+  };
+}
+
+/// topology_key's layout, rebuilt from edges(): node count, edge count,
+/// then each edge's endpoints, all as native 64-bit integers.
+std::string key_from_edges(const rg::Digraph& g) {
+  std::string out;
+  const auto put = [&out](std::uint64_t v) {
+    char bytes[sizeof v];
+    std::memcpy(bytes, &v, sizeof v);
+    out.append(bytes, sizeof v);
+  };
+  put(g.num_nodes());
+  put(g.num_edges());
+  for (const auto& e : g.edges()) {
+    put(e.from);
+    put(e.to);
+  }
+  return out;
+}
+
+/// Generator output plus copies of it mutated by every mutator, and
+/// rebuilt twins whose structures are equal but not shared.
+std::vector<rg::Digraph> topology_corpus() {
+  Rng rng(11);
+  std::vector<rg::Digraph> graphs = {
+      rg::Digraph(),
+      rg::Digraph(3),
+      rg::make_chain({1.0}),
+      rg::make_chain({1.0, 2.0, 3.0}),
+      rg::make_chain({5.0, 5.0, 5.0}),  // a rebuilt twin of the one above
+      rg::make_fork({1.0, 2.0, 3.0}),
+      rg::make_join({1.0, 2.0, 3.0}),
+      rg::make_diamond(3, rng),
+      rg::make_random_out_tree(9, rng),
+      rg::make_random_in_tree(9, rng),
+      rg::make_layered(3, 3, 0.5, rng),
+      rg::make_erdos_renyi_dag(10, 0.3, rng),
+      rg::make_random_series_parallel(8, rng),
+      rg::make_fork_join_chain(2, 3, rng),
+      rg::make_tiled_cholesky(3),
+      rg::make_tiled_lu(2),
+      rg::make_fft(2),
+      rg::make_stencil(2, 3, rng),
+      small_graph(),
+  };
+  // The same edges as small_graph() inserted in the other order: the
+  // successor lists differ, so the topology does too.
+  rg::Digraph swapped(3);
+  swapped.add_edge(0, 2);
+  swapped.add_edge(0, 1);
+  graphs.push_back(swapped);
+  const std::size_t generated = graphs.size();
+  for (std::size_t i = 0; i < generated; ++i) {
+    if (graphs[i].num_nodes() < 3) continue;
+    for (const auto& [label, mutate] : mutators()) {
+      rg::Digraph copy = graphs[i];
+      // Skip an edge mutator whose edge this graph already has.
+      if ((label == "add_edge" && copy.has_edge(1, 2)) ||
+          (label == "add_edge_if_absent" && copy.has_edge(2, 1))) {
+        continue;
+      }
+      mutate(copy);
+      graphs.push_back(std::move(copy));
+    }
+  }
+  return graphs;
 }
 
 }  // namespace
@@ -83,6 +203,88 @@ TEST(Digraph, SourcesSinksAndReverse) {
   EXPECT_EQ(r.sinks(), (std::vector<rg::NodeId>{0, 1}));
   EXPECT_EQ(r.num_edges(), 3u);
   EXPECT_TRUE(r.has_edge(3, 2));
+}
+
+TEST(Digraph, MutatingACopyLeavesTheOriginalUnchanged) {
+  const rg::Digraph g = small_graph();
+  const Snapshot before = snapshot(g);
+  for (const auto& [label, mutate] : mutators()) {
+    SCOPED_TRACE(label);
+    rg::Digraph copy = g;
+    ASSERT_TRUE(copy.same_topology(g));
+    mutate(copy);
+    EXPECT_NE(snapshot(copy), before);
+    EXPECT_EQ(snapshot(g), before);
+
+    // The other way round, through copy assignment: mutating the source
+    // leaves an earlier copy as it was.
+    rg::Digraph source = g;
+    rg::Digraph kept;
+    kept = source;
+    mutate(source);
+    EXPECT_EQ(snapshot(kept), before);
+  }
+}
+
+TEST(Digraph, WeightChangesAndPresentEdgesKeepTheStructureShared) {
+  const rg::Digraph g = small_graph();
+  rg::Digraph copy = g;
+  copy.set_weight(0, 7.0);
+  EXPECT_FALSE(copy.add_edge_if_absent(0, 1));
+  // Still one structure: the adjacency lists are the same objects.
+  EXPECT_EQ(&copy.successors(0), &g.successors(0));
+  EXPECT_DOUBLE_EQ(g.weight(0), 1.0);
+
+  // A reference taken before a mutation of a shared graph keeps showing
+  // the structure it was taken from.
+  const std::vector<rg::NodeId>& old_succs = copy.successors(1);
+  copy.add_edge(1, 2);
+  EXPECT_TRUE(old_succs.empty());
+  EXPECT_EQ(copy.successors(1), (std::vector<rg::NodeId>{2}));
+  EXPECT_NE(&copy.successors(0), &g.successors(0));
+}
+
+TEST(Digraph, ReversedIsIndependentOfItsSource) {
+  rg::Digraph g = small_graph();
+  const Snapshot before = snapshot(g);
+  rg::Digraph r = g.reversed();
+  const Snapshot r_before = snapshot(r);
+  EXPECT_EQ(r.predecessors(0), g.successors(0));
+
+  r.set_weight(0, 8.0);
+  r.set_name(0, "root");
+  r.add_edge(2, 1);
+  r.add_node(1.0, "extra");
+  EXPECT_EQ(snapshot(g), before);
+
+  rg::Digraph r2 = g.reversed();
+  g.set_weight(1, 6.0);
+  g.set_name(1, "left");
+  g.add_edge(1, 2);
+  EXPECT_EQ(snapshot(r2), r_before);
+}
+
+TEST(Digraph, SameTopologyMatchesTheTopologyKey) {
+  const std::vector<rg::Digraph> graphs = topology_corpus();
+  std::size_t equal_pairs = 0;
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    for (std::size_t j = 0; j < graphs.size(); ++j) {
+      const bool keys_equal = reclaim::engine::topology_key(graphs[i]) ==
+                              reclaim::engine::topology_key(graphs[j]);
+      EXPECT_EQ(graphs[i].same_topology(graphs[j]), keys_equal)
+          << "graphs " << i << " and " << j;
+      equal_pairs += keys_equal && i != j ? 1 : 0;
+    }
+  }
+  // Weight- and name-only mutations and the rebuilt twin give pairs of
+  // equal topology in distinct objects, shared and unshared.
+  EXPECT_GT(equal_pairs, graphs.size() / 2);
+}
+
+TEST(Digraph, TopologyKeyIsTheEdgeListEncoding) {
+  for (const rg::Digraph& g : topology_corpus()) {
+    EXPECT_EQ(reclaim::engine::topology_key(g), key_from_edges(g));
+  }
 }
 
 TEST(Topo, OrderOnDagAndCycleDetection) {

@@ -12,11 +12,15 @@
 # reuse an existing Release build tree instead of configuring build-bench
 # from scratch.
 #
+# Each BENCH_<name>.json also records the bench's peak RSS
+# ("peak_rss_mb"); it is informational and gates nothing.
+#
 # Perf-trajectory diff: when RECLAIM_BENCH_BASELINE_DIR points at a
 # directory of BENCH_*.json files from a previous run (CI downloads the
-# prior run's artifact there), a wall-seconds / instances-per-second diff
-# table is printed after the runs. The diff is informational only: the
-# script fails on bench crashes, never on regressions.
+# prior run's artifact there), a wall-seconds / instances-per-second /
+# peak-RSS diff table is printed after the runs. The diff is
+# informational only: the script fails on bench crashes, never on
+# regressions.
 #
 # Sustained-regression alert: a bench whose best inst/s drops more than
 # RECLAIM_BENCH_ALERT_PCT percent (default 10) below its *reference* rate
@@ -55,30 +59,41 @@ for pattern in "${patterns[@]}"; do
   done
 done
 
+# Each bench runs under a small Python runner that records its wall time,
+# its output and its peak RSS: the runner starts one child only, so the
+# children's high-water mark (ru_maxrss of RUSAGE_CHILDREN, KiB on Linux)
+# is the bench's own.
 for bench in "${benches[@]}"; do
   name="$(basename "$bench")"
   echo "=== $name"
-  log="$out_dir/$name.log"
-  start=$(date +%s.%N)
-  if "$bench" > "$log" 2>&1; then status=ok; else status=failed; failures=$((failures + 1)); fi
-  end=$(date +%s.%N)
-  seconds=$(echo "$end $start" | awk '{printf "%.3f", $1 - $2}')
-  python3 - "$out_dir/BENCH_$name.json" "$name" "$status" "$seconds" \
-      "$stamp" "$commit" "$host" "$log" <<'EOF'
-import json, sys
-out, name, status, seconds, stamp, commit, host, log = sys.argv[1:]
+  if ! python3 - "$bench" "$out_dir" "$stamp" "$commit" "$host" <<'EOF'
+import json, os, resource, subprocess, sys, time
+bench, out_dir, stamp, commit, host = sys.argv[1:]
+name = os.path.basename(bench)
+log = os.path.join(out_dir, name + ".log")
+start = time.monotonic()
+with open(log, "wb") as sink:
+    code = subprocess.call([bench], stdout=sink, stderr=subprocess.STDOUT)
+seconds = round(time.monotonic() - start, 3)
+peak_rss_mb = round(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024, 1)
+status = "ok" if code == 0 else "failed"
 payload = {
     "bench": name,
     "status": status,
-    "wall_seconds": float(seconds),
+    "wall_seconds": seconds,
+    "peak_rss_mb": peak_rss_mb,
     "timestamp": stamp,
     "commit": commit,
     "host": host,
     "output": open(log, encoding="utf-8", errors="replace").read(),
 }
-json.dump(payload, open(out, "w"), indent=2)
+json.dump(payload, open(os.path.join(out_dir, f"BENCH_{name}.json"), "w"), indent=2)
+print(f"    {status} in {seconds:.3f}s, peak RSS {peak_rss_mb:.1f} MiB -> BENCH_{name}.json")
+sys.exit(0 if code == 0 else 1)
 EOF
-  echo "    $status in ${seconds}s -> BENCH_$name.json"
+  then
+    failures=$((failures + 1))
+  fi
 done
 
 echo "Results in $out_dir"
@@ -134,6 +149,7 @@ def load(directory):
         runs[payload.get("bench", os.path.basename(path))] = {
             "status": payload.get("status", "?"),
             "seconds": payload.get("wall_seconds"),
+            "rss_mb": payload.get("peak_rss_mb"),
             "inst_s": max(rates) if rates else None,
             "commit": payload.get("commit", "?"),
             "rate_regressed": bool(payload.get("rate_regressed", False)),
@@ -158,13 +174,16 @@ def delta(old, new):
 header = (f"[perf diff] vs commit "
           f"{next(iter(prev.values()))['commit']} ({len(prev)} baselines)")
 print(header)
-rows = [("bench", "prev s", "now s", "d-wall", "prev inst/s", "now inst/s", "d-rate")]
+rows = [("bench", "prev s", "now s", "d-wall", "prev inst/s", "now inst/s",
+         "d-rate", "prev MiB", "now MiB", "d-rss")]
 for name in sorted(set(prev) | set(now)):
     p, n = prev.get(name, {}), now.get(name, {})
     rows.append((name, fmt(p.get("seconds")), fmt(n.get("seconds")),
                  delta(p.get("seconds"), n.get("seconds")),
                  fmt(p.get("inst_s")), fmt(n.get("inst_s")),
-                 delta(p.get("inst_s"), n.get("inst_s"))))
+                 delta(p.get("inst_s"), n.get("inst_s")),
+                 fmt(p.get("rss_mb")), fmt(n.get("rss_mb")),
+                 delta(p.get("rss_mb"), n.get("rss_mb"))))
 widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
 for row in rows:
     print("  " + " | ".join(cell.rjust(w) for cell, w in zip(row, widths)))
