@@ -81,7 +81,7 @@ Timing timed_sweep(const std::vector<std::vector<core::Instance>>& grids,
   options.threads = 1;
   options.memoize = memoize;
   engine::ReclaimEngine eng(options);
-  // Warm-up on grid 0 (untimed): shape cache, arenas — and for the
+  // Warm-up on grid 0 (untimed): shape cache — and for the
   // memoizing per-instance engine, a realistically populated memo to
   // probe against. Grids 1.. are timed; each holds distinct instances, so
   // every timed solve is fresh work under every configuration.

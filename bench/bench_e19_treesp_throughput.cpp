@@ -95,8 +95,8 @@ std::vector<core::Solution> drive(engine::ReclaimEngine& eng,
 /// Best-of-N timed sweeps with the configs interleaved round-robin: each
 /// rep times every engine back to back, so slow drift in host load (this
 /// runs on shared CI workers) lands on all columns instead of skewing the
-/// acceptance ratio. Grid 0 is an untimed warm-up (shape cache, arenas —
-/// and a populated memo for the memoizing per-instance engine); grids 1..
+/// acceptance ratio. Grid 0 is an untimed warm-up (shape cache, and a
+/// populated memo for the memoizing per-instance engine); grids 1..
 /// hold distinct instances so every timed solve is fresh work. threads ==
 /// 1 isolates the per-instance cost. Each Timing carries the best rep's
 /// seconds with the first timed grid's solutions.

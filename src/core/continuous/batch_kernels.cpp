@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <utility>
 #include <variant>
 
-#include "util/arena.hpp"
 #include "util/error.hpp"
 
 namespace reclaim::core {
@@ -229,9 +227,8 @@ void run_tree(const KernelPlan& plan, const Instance* const* instances,
               std::size_t count, Solution* out) {
   const graph::CompositionPlan& comp = *plan.comp;
   const std::size_t n = comp.child_offset.size() - 1;
-  auto& arena = util::Arena::scratch();
-  std::vector<double> weq = arena.lease_doubles();
-  std::vector<double> window = arena.lease_doubles();
+  std::vector<double> weq;
+  std::vector<double> window;
   constexpr double kTol = 1e-12;
 
   for (std::size_t i = 0; i < count; ++i) {
@@ -292,9 +289,6 @@ void run_tree(const KernelPlan& plan, const Instance* const* instances,
 
     if (violates_floor(inst, s, plan.floor)) s = Solution{};
   }
-
-  arena.recycle_doubles(std::move(weq));
-  arena.recycle_doubles(std::move(window));
 }
 
 /// SP kernel over the decomposition's pre-order: walked backward it folds
@@ -309,9 +303,8 @@ void run_sp(const KernelPlan& plan, const Instance* const* instances,
   const graph::CompositionPlan& comp = *plan.comp;
   const graph::SpTree& tree = *comp.sp_tree;
   const std::size_t m = tree.nodes.size();
-  auto& arena = util::Arena::scratch();
-  std::vector<double> weq = arena.lease_doubles();
-  std::vector<double> window = arena.lease_doubles();
+  std::vector<double> weq;
+  std::vector<double> window;
 
   for (std::size_t i = 0; i < count; ++i) {
     const Instance& inst = *instances[i];
@@ -386,9 +379,6 @@ void run_sp(const KernelPlan& plan, const Instance* const* instances,
       s = Solution{};  // cap or floor binds: numeric re-solve
     }
   }
-
-  arena.recycle_doubles(std::move(weq));
-  arena.recycle_doubles(std::move(window));
 }
 
 /// Heterogeneous plan: only the chain's equal-speed form survives

@@ -9,28 +9,17 @@
 #include "core/continuous/numeric_solver.hpp"
 #include "core/continuous/waterfill.hpp"
 #include "graph/classify.hpp"
-#include "util/arena.hpp"
 
 namespace reclaim::core {
 
 namespace {
-
-/// Returns the per-solve bound buffers leased by the effective-bounds
-/// helpers to the thread's pool.
-void recycle_numeric_buffers(NumericOptions& numeric_options) {
-  auto& arena = util::Arena::scratch();
-  arena.recycle_doubles(std::move(numeric_options.s_max_per_task));
-  arena.recycle_doubles(std::move(numeric_options.s_min_per_task));
-}
 
 Solution numeric(const Instance& instance, const model::ContinuousModel& model,
                  double s_min, const ContinuousOptions& options) {
   NumericOptions numeric_options;
   numeric_options.rel_gap = options.rel_gap;
   numeric_options.s_min = s_min;
-  Solution s = solve_numeric(instance, model, numeric_options);
-  recycle_numeric_buffers(numeric_options);
-  return s;
+  return solve_numeric(instance, model, numeric_options);
 }
 
 /// Per-task effective bounds of the s_crit reduction, shared by the
@@ -75,20 +64,14 @@ Solution solve_hetero(const Instance& instance,
     if (solve_closed_form(instance, model, options.s_min, info, s)) return s;
   }
 
-  auto& arena = util::Arena::scratch();
   NumericOptions numeric_options;
   numeric_options.rel_gap = options.rel_gap;
-  numeric_options.s_max_per_task = arena.lease_doubles();
-  numeric_options.s_min_per_task = arena.lease_doubles();
   if (!effective_bounds(instance, model, options.s_min,
                         numeric_options.s_max_per_task,
                         numeric_options.s_min_per_task)) {
-    recycle_numeric_buffers(numeric_options);
     return infeasible_solution("numeric-barrier");
   }
-  Solution s = solve_numeric(instance, model, numeric_options);
-  recycle_numeric_buffers(numeric_options);
-  return s;
+  return solve_numeric(instance, model, numeric_options);
 }
 
 /// Join: Equation (1) is symmetric under time reversal, so the join
@@ -179,12 +162,9 @@ Solution solve_exact_leaky(const Instance& instance,
   // an infeasible reduction settles the exact question too.
   if (!reduction.feasible) return reduction;
 
-  auto& arena = util::Arena::scratch();
-  std::vector<double> caps = arena.lease_doubles();
-  std::vector<double> floors = arena.lease_doubles();
+  std::vector<double> caps;
+  std::vector<double> floors;
   if (!effective_bounds(instance, model, options.s_min, caps, floors)) {
-    arena.recycle_doubles(std::move(caps));
-    arena.recycle_doubles(std::move(floors));
     return reduction;  // unreachable: the reduction reported it infeasible
   }
 
@@ -198,8 +178,6 @@ Solution solve_exact_leaky(const Instance& instance,
     // source's duration for a fork); no second barrier run needed.
     exact = chain_shape ? solve_chain_waterfill(instance, caps, floors)
                         : solve_fork_waterfill(instance, caps, floors);
-    arena.recycle_doubles(std::move(caps));
-    arena.recycle_doubles(std::move(floors));
   } else {
     NumericOptions numeric_options;
     numeric_options.rel_gap = options.rel_gap;
@@ -207,7 +185,6 @@ Solution solve_exact_leaky(const Instance& instance,
     numeric_options.s_max_per_task = std::move(caps);
     numeric_options.s_min_per_task = std::move(floors);
     exact = solve_numeric(instance, model, numeric_options);
-    recycle_numeric_buffers(numeric_options);
   }
 
   const double switch_tol = std::max(1e-7, 10.0 * options.rel_gap);

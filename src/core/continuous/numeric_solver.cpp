@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <span>
 #include <utility>
+#include <vector>
 
 #include "graph/topo.hpp"
 #include "opt/barrier.hpp"
 #include "sched/schedule.hpp"
-#include "util/arena.hpp"
 #include "util/error.hpp"
 
 namespace reclaim::core {
@@ -32,15 +31,12 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// exactly 0.0 everywhere and stays bit-identical).
 class EnergyObjective final : public opt::ConvexObjective {
  public:
-  /// Coefficient arrays live in the caller's arena scope (no heap
-  /// traffic per solve); the objective must not outlive that scope.
-  EnergyObjective(const Instance& instance, bool exact_leakage,
-                  util::Arena& arena)
+  EnergyObjective(const Instance& instance, bool exact_leakage)
       : n_(instance.exec_graph.num_nodes()),
-        weights_(arena.alloc<double>(n_)),
-        powered_(arena.alloc<double>(n_)),
-        alphas_(arena.alloc<double>(n_)),
-        statics_(arena.alloc<double>(n_)) {
+        weights_(n_),
+        powered_(n_),
+        alphas_(n_),
+        statics_(n_) {
     for (graph::NodeId v = 0; v < n_; ++v) {
       weights_[v] = instance.exec_graph.weight(v);
       alphas_[v] = instance.power_of(v).alpha();
@@ -86,19 +82,11 @@ class EnergyObjective final : public opt::ConvexObjective {
 
  private:
   std::size_t n_;
-  std::span<double> weights_;
-  std::span<double> powered_;  ///< w_i^alpha_i
-  std::span<double> alphas_;
-  std::span<double> statics_;
+  std::vector<double> weights_;
+  std::vector<double> powered_;  ///< w_i^alpha_i
+  std::vector<double> alphas_;
+  std::vector<double> statics_;
 };
-
-/// Per-thread reusable inequality buffer. Rebuilding constraints into the
-/// same elements keeps every inner `terms` vector's capacity, so in
-/// steady state constraint assembly performs no allocations at all.
-std::vector<opt::SparseInequality>& pooled_ineqs() {
-  thread_local std::vector<opt::SparseInequality> pool;
-  return pool;
-}
 
 }  // namespace
 
@@ -161,12 +149,6 @@ Solution solve_numeric(const Instance& instance,
     return s;
   }
 
-  // All per-solve scratch below lives in the thread's arena and is
-  // released wholesale on return; repeated solves on one thread reuse the
-  // same blocks (no steady-state allocation on the hot path).
-  auto& arena = util::Arena::scratch();
-  const util::Arena::Scope scratch_scope(arena);
-
   const double critical = critical_weight(g);
   if (critical == 0.0) {
     // All-zero weights: nothing to run.
@@ -203,7 +185,7 @@ Solution solve_numeric(const Instance& instance,
 
   // Strictly feasible start point.
   la::Vector x0(2 * n, 0.0);
-  const std::span<double> durations = arena.alloc<double>(n);
+  std::vector<double> durations(n, 0.0);
   double pad = 0.0;
   if (!heterogeneous) {
     // Uniform speed strictly between the minimal feasible uniform speed
@@ -258,7 +240,7 @@ Solution solve_numeric(const Instance& instance,
   // Stack completion times in topological order with a per-position pad so
   // every precedence residual is strictly positive.
   {
-    const std::span<double> earliest = arena.alloc<double>(n);
+    std::vector<double> earliest(n, 0.0);
     std::size_t position = 0;
     for (graph::NodeId v : *order) {
       double start = 0.0;
@@ -270,19 +252,11 @@ Solution solve_numeric(const Instance& instance,
     }
   }
 
-  // Constraint assembly (all as terms . x <= rhs), into the per-thread
-  // pooled buffer so steady-state assembly allocates nothing.
-  auto& ineqs = pooled_ineqs();
-  std::size_t used = 0;
+  // Constraint assembly (all as terms . x <= rhs).
+  std::vector<opt::SparseInequality> ineqs;
   const auto add_ineq =
       [&](std::initializer_list<std::pair<std::size_t, double>> terms,
-          double rhs) {
-        if (used == ineqs.size()) ineqs.emplace_back();
-        auto& q = ineqs[used];
-        q.terms.assign(terms);
-        q.rhs = rhs;
-        ++used;
-      };
+          double rhs) { ineqs.push_back({terms, rhs}); };
   for (const graph::Edge& e : g.edges()) {
     // t_i + d_j - t_j <= 0.
     add_ineq({{e.from, 1.0}, {n + e.to, 1.0}, {e.to, -1.0}}, 0.0);
@@ -304,9 +278,8 @@ Solution solve_numeric(const Instance& instance,
       add_ineq({{n + v, 1.0}}, w / floor_of(v));
     }
   }
-  if (ineqs.size() > used) ineqs.resize(used);
 
-  const EnergyObjective objective(instance, options.exact_leakage, arena);
+  const EnergyObjective objective(instance, options.exact_leakage);
   const opt::BarrierResult result = opt::minimize_with_barrier(
       objective, ineqs, std::move(x0), {.rel_gap = options.rel_gap});
 

@@ -9,7 +9,6 @@
 #include "core/continuous/batch_kernels.hpp"
 #include "engine/instance_key.hpp"
 #include "util/annotated_mutex.hpp"
-#include "util/arena.hpp"
 #include "util/error.hpp"
 
 namespace reclaim::engine {
@@ -196,9 +195,7 @@ std::vector<core::Solution> ReclaimEngine::kernel_batch(
         solved, std::memory_order_relaxed);
   };
 
-  auto& arena = util::Arena::scratch();
-  const util::Arena::Scope scope(arena);
-  auto ptrs = arena.alloc<const core::Instance*>(n);
+  std::vector<const core::Instance*> ptrs(n);
   const std::size_t workers = pool_ ? std::min(pool_->size(), n) : 1;
   // One worker takes the fused pass: each run is solved right after its
   // compatibility scan, while the instances are still cache-hot — a

@@ -1,8 +1,8 @@
 // Batched fast-path tests: long runs vs per-instance core::solve
 // bit-identity (fuzzed), the kKernelMinRun memo-bypass boundary, the
 // per-instance route of solve_one, submit and short batch runs, the
-// sleep-DP exclusion, arena scratch reuse (no steady-state allocation
-// growth), and the EngineStats counters that split kernel-answered solves
+// sleep-DP exclusion, repeated solves that must not see each other's
+// scratch, and the EngineStats counters that split kernel-answered solves
 // from the rest.
 #include <gtest/gtest.h>
 
@@ -26,7 +26,6 @@
 #include "model/platform.hpp"
 #include "model/power_model.hpp"
 #include "sched/mapping.hpp"
-#include "util/arena.hpp"
 #include "util/rng.hpp"
 
 namespace rc = reclaim::core;
@@ -37,13 +36,25 @@ namespace ru = reclaim::util;
 
 namespace {
 
+/// Every Solution field, bit for bit.
 void expect_identical(const rc::Solution& a, const rc::Solution& b) {
   EXPECT_EQ(a.feasible, b.feasible);
   EXPECT_EQ(a.energy, b.energy);  // bit-identical, not approximately equal
   EXPECT_EQ(a.method, b.method);
+  EXPECT_EQ(a.iterations, b.iterations);
   ASSERT_EQ(a.speeds.size(), b.speeds.size());
   for (std::size_t i = 0; i < a.speeds.size(); ++i) {
     EXPECT_EQ(a.speeds[i], b.speeds[i]);
+  }
+  ASSERT_EQ(a.profiles.size(), b.profiles.size());
+  for (std::size_t i = 0; i < a.profiles.size(); ++i) {
+    const auto& sa = a.profiles[i].segments;
+    const auto& sb = b.profiles[i].segments;
+    ASSERT_EQ(sa.size(), sb.size());
+    for (std::size_t k = 0; k < sa.size(); ++k) {
+      EXPECT_EQ(sa[k].speed, sb[k].speed);
+      EXPECT_EQ(sa[k].duration, sb[k].duration);
+    }
   }
 }
 
@@ -796,16 +807,17 @@ TEST(BatchKernels, VddBatchPlansNothing) {
   }
 }
 
-// ---------------------------------------------------------- arena scratch
+// ------------------------------------------------- repeated-solve identity
 
 namespace {
 
-/// A sweep over one general-DAG topology (numeric-barrier route) with a
-/// deadline grid.
+/// A sweep over one rows x cols stencil topology (numeric-barrier route)
+/// with a deadline grid.
 std::vector<rc::Instance> barrier_sweep(std::uint64_t seed, std::size_t count,
-                                        double p_static = 0.0) {
+                                        double p_static, std::size_t rows,
+                                        std::size_t cols) {
   ru::Rng rng(seed);
-  rg::Digraph g = rg::make_stencil(3, 3, rng);
+  rg::Digraph g = rg::make_stencil(rows, cols, rng);
   std::vector<rc::Instance> out;
   out.reserve(count);
   const double d_min = rc::min_deadline(g, 2.0);
@@ -822,70 +834,53 @@ std::vector<rc::Instance> barrier_sweep(std::uint64_t seed, std::size_t count,
 
 }  // namespace
 
-TEST(Arena, ScopedAllocationsRewind) {
-  ru::Arena arena(256);
-  {
-    const ru::Arena::Scope scope(arena);
-    auto a = arena.alloc<double>(10);
-    EXPECT_EQ(a.size(), 10u);
-    for (double v : a) EXPECT_EQ(v, 0.0);
-    auto b = arena.alloc<std::uint8_t>(3);
-    auto c = arena.alloc<double>(5);  // realigns after the byte span
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(c.data()) % alignof(double),
-              0u);
-    b[0] = 1;
-    EXPECT_GT(arena.stats().bytes_used, 0u);
+TEST(BatchKernels, RepeatedSolvesAreBitIdentical) {
+  // Nothing a solve leaves behind may reach the next one. Chains take the
+  // kernel route; exact-leaky stencils take the barrier route, in two
+  // sizes interleaved so that a smaller solve follows a larger one. Every
+  // round must reproduce round 0 and core::solve.
+  const auto chains =
+      homogeneous_sweep(83, 10, "chain", rm::PowerLaw(3.0), 0.0);
+  const auto small = barrier_sweep(89, 5, 0.3, 3, 3);
+  const auto large = barrier_sweep(97, 5, 0.3, 4, 5);
+  std::vector<rc::Instance> barriers;
+  for (std::size_t i = 0; i < small.size(); ++i) {
+    barriers.push_back(large[i]);
+    barriers.push_back(small[i]);
   }
-  EXPECT_EQ(arena.stats().bytes_used, 0u);
-  {
-    // Oversized request: grows a new block rather than failing.
-    const ru::Arena::Scope scope(arena);
-    auto big = arena.alloc<double>(4096);
-    EXPECT_EQ(big.size(), 4096u);
-  }
-  EXPECT_EQ(arena.stats().bytes_used, 0u);
-}
-
-TEST(Arena, VectorPoolRecyclesCapacity) {
-  ru::Arena arena;
-  std::vector<double> v = arena.lease_doubles();
-  v.assign(100, 1.0);
-  const double* data = v.data();
-  arena.recycle_doubles(std::move(v));
-  EXPECT_EQ(arena.stats().pooled_vectors, 1u);
-  std::vector<double> w = arena.lease_doubles();
-  EXPECT_TRUE(w.empty());
-  EXPECT_GE(w.capacity(), 100u);
-  EXPECT_EQ(w.data(), data);  // the very buffer came back
-  EXPECT_EQ(arena.stats().pooled_vectors, 0u);
-}
-
-TEST(Arena, NoAllocationGrowthAcrossSolves) {
-  // Steady state: repeated solves must not grow the thread's arena — the
-  // warm-up pass sizes the blocks and every later solve reuses them.
-  const auto chains = homogeneous_sweep(83, 10, "chain", rm::PowerLaw(3.0), 0.0);
-  const auto barriers = barrier_sweep(89, 5, 0.3);
   const rm::EnergyModel cont = rm::ContinuousModel{2.0};
   rc::SolveOptions exact;
   exact.leakage = rc::LeakageMode::kExact;
 
-  re::EngineOptions opts;
-  opts.threads = 1;  // inline: all scratch goes through this thread's arena
-  opts.memoize = false;
-  re::ReclaimEngine engine(opts);
+  std::vector<rc::Solution> reference;
+  for (const auto& instance : chains) {
+    reference.push_back(rc::solve(instance, cont));
+  }
+  for (const auto& instance : barriers) {
+    reference.push_back(rc::solve(instance, cont, exact));
+  }
 
-  const auto solve_everything = [&] {
-    (void)engine.solve_batch(std::span<const rc::Instance>(chains), cont, {});
-    (void)engine.solve_batch(std::span<const rc::Instance>(barriers), cont,
-                             exact);
-  };
-  solve_everything();  // warm-up sizes the blocks and the vector pool
-  const ru::ArenaStats after_warmup = ru::Arena::scratch().stats();
-  for (int round = 0; round < 5; ++round) solve_everything();
-  const ru::ArenaStats steady = ru::Arena::scratch().stats();
-
-  EXPECT_EQ(steady.blocks, after_warmup.blocks);
-  EXPECT_EQ(steady.bytes_reserved, after_warmup.bytes_reserved);
-  EXPECT_EQ(steady.bytes_peak, after_warmup.bytes_peak);
-  EXPECT_EQ(steady.bytes_used, 0u);  // every Scope unwound
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    re::EngineOptions opts;
+    opts.threads = threads;
+    opts.memoize = false;
+    re::ReclaimEngine engine(opts);
+    std::vector<rc::Solution> first;
+    for (int round = 0; round < 6; ++round) {
+      SCOPED_TRACE("round " + std::to_string(round));
+      auto out =
+          engine.solve_batch(std::span<const rc::Instance>(chains), cont, {});
+      const auto tail = engine.solve_batch(
+          std::span<const rc::Instance>(barriers), cont, exact);
+      out.insert(out.end(), tail.begin(), tail.end());
+      ASSERT_EQ(out.size(), reference.size());
+      if (round == 0) first = out;
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        expect_identical(out[i], first[i]);
+        expect_identical(out[i], reference[i]);
+      }
+    }
+    EXPECT_GT(engine.stats().kernel_solves, 0u);
+  }
 }

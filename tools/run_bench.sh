@@ -5,6 +5,7 @@
 # one.
 #
 #   tools/run_bench.sh [output-dir] [bench-glob...]
+#   tools/run_bench.sh --self-test
 #
 # output-dir defaults to bench-results; the bench globs default to
 # bench_e* (CI records only the fast baselines with
@@ -32,98 +33,40 @@
 # "::warning::" soft alert is printed (so GitHub Actions annotates the
 # run). Informational for every bench except the hard-gated set —
 # bench_e12_batch_throughput, bench_e17_serve_throughput and
-# bench_e18_sweep_throughput: their workloads have proven low-noise
-# (e18 ran soft-alert-only for a release cycle without a false alarm),
-# so a sustained regression there is a hard gate — the script exits 1.
+# bench_e18_sweep_throughput: a sustained regression there is a hard
+# gate — the script exits 1. The e18 and e19 rates are their "long-run
+# inst/s" column, the route the gate protects.
 # Opt out with RECLAIM_BENCH_HARD_GATE=0 (e.g. on known-noisy hosts).
+#
+# --self-test feeds canned e12, e18 and e19 logs to the rate extraction
+# and fails unless each yields its expected best rate: a gate whose rate
+# reads empty can never fire.
 set -euo pipefail
 
-repo_root="$(cd "$(dirname "$0")/.." && pwd)"
-out_dir="${1:-$repo_root/bench-results}"
-if [ "$#" -ge 2 ]; then patterns=("${@:2}"); else patterns=("bench_e*"); fi
-build_dir="${RECLAIM_BENCH_BUILD_DIR:-$repo_root/build-bench}"
-
-cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
-cmake --build "$build_dir" -j
-
-mkdir -p "$out_dir"
-host="$(uname -srm)"
-stamp="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
-commit="$(git -C "$repo_root" rev-parse --short HEAD 2>/dev/null || echo unknown)"
-failures=0
-
-benches=()
-for pattern in "${patterns[@]}"; do
-  for candidate in "$build_dir"/$pattern; do
-    [ -x "$candidate" ] && benches+=("$candidate")
-  done
-done
-
-# Each bench runs under a small Python runner that records its wall time,
-# its output and its peak RSS: the runner starts one child only, so the
-# children's high-water mark (ru_maxrss of RUSAGE_CHILDREN, KiB on Linux)
-# is the bench's own.
-for bench in "${benches[@]}"; do
-  name="$(basename "$bench")"
-  echo "=== $name"
-  if ! python3 - "$bench" "$out_dir" "$stamp" "$commit" "$host" <<'EOF'
-import json, os, resource, subprocess, sys, time
-bench, out_dir, stamp, commit, host = sys.argv[1:]
-name = os.path.basename(bench)
-log = os.path.join(out_dir, name + ".log")
-start = time.monotonic()
-with open(log, "wb") as sink:
-    code = subprocess.call([bench], stdout=sink, stderr=subprocess.STDOUT)
-seconds = round(time.monotonic() - start, 3)
-peak_rss_mb = round(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024, 1)
-status = "ok" if code == 0 else "failed"
-payload = {
-    "bench": name,
-    "status": status,
-    "wall_seconds": seconds,
-    "peak_rss_mb": peak_rss_mb,
-    "timestamp": stamp,
-    "commit": commit,
-    "host": host,
-    "output": open(log, encoding="utf-8", errors="replace").read(),
-}
-json.dump(payload, open(os.path.join(out_dir, f"BENCH_{name}.json"), "w"), indent=2)
-print(f"    {status} in {seconds:.3f}s, peak RSS {peak_rss_mb:.1f} MiB -> BENCH_{name}.json")
-sys.exit(0 if code == 0 else 1)
-EOF
-  then
-    failures=$((failures + 1))
-  fi
-done
-
-echo "Results in $out_dir"
-
-# Diff against a previous run's baselines, if provided. Extracts every
-# "<number> inst/s" occurrence from the recorded output and compares the
-# best per bench, alongside wall seconds.
-# Best-effort by contract: a malformed baseline must never fail the run,
-# hence the || at the end of the heredoc invocation.
-baseline_dir="${RECLAIM_BENCH_BASELINE_DIR:-}"
-rm -f "$out_dir/.hard-gate-failed"
-if [ -n "$baseline_dir" ] && [ -d "$baseline_dir" ]; then
-  python3 - "$baseline_dir" "$out_dir" <<'EOF' || echo "[perf diff] diff failed (ignored)"
+# The diff/alert program (Python), shared by the post-run diff below and
+# --self-test. Diff usage: python3 -c "$(diff_program)" PREV_DIR NOW_DIR.
+diff_program() {
+  cat <<'EOF'
 import glob, json, os, re, sys
 
-prev_dir, now_dir = sys.argv[1:]
+# Table header cells holding an instances/second column: e12/e17 label
+# theirs "inst/s"; the e18/e19 sweeps are read at "long-run inst/s".
+RATE_HEADERS = ("inst/s", "long-run inst/s")
 
 def rates_of(output):
     """Every instances/second figure in a bench log: inline "N inst/s"
-    mentions plus the "inst/s" column of util::Table output."""
+    mentions plus the rate columns of util::Table output."""
     rates = [float(m) for m in
              re.findall(r"([0-9]+(?:\.[0-9]+)?)\s*inst/s", output)]
     lines = output.splitlines()
     for i, line in enumerate(lines):
         if "|" not in line or "inst/s" not in line:
             continue
-        try:
-            column = [c.strip() for c in line.split("|")].index("inst/s")
-        except ValueError:  # mentions inst/s without being a header cell
+        header = [c.strip() for c in line.split("|")]
+        columns = [k for k, cell in enumerate(header) if cell in RATE_HEADERS]
+        if not columns:  # mentions inst/s without being a rate header
             continue
+        column = columns[0]
         for row in lines[i + 1:]:
             if row.strip("- ") == "":  # table border
                 continue
@@ -137,6 +80,49 @@ def rates_of(output):
             except ValueError:
                 continue
     return rates
+
+if sys.argv[1:] == ["--self-test"]:
+    border = "-" * 40
+    canned = {
+        "bench_e12_batch_throughput": ("\n".join([
+            "(a) memo OFF: parallel scaling of fresh solves", border,
+            "| threads | instances | seconds |  inst/s | speedup |", border,
+            "|       1 |       128 |  0.0086 | 14857.4 |   1.00x |",
+            "|       4 |       128 |  0.0027 | 47982.9 |   3.23x |", border,
+            ""]), 47982.9),
+        "bench_e18_sweep_throughput": ("\n".join([
+            "homogeneous grid sweeps (acceptance: >= 5x inst/s, bit-identical)",
+            border,
+            "| family | instances | per-instance inst/s | no-memo inst/s "
+            "| long-run inst/s | vs per-instance | vs no-memo |", border,
+            "| single |     20000 |            445548.8 |      2854395.7 "
+            "|       3888976.0 |           8.73x |      1.36x |",
+            "|  chain |     20000 |            233266.9 |      1162016.7 "
+            "|       1008404.8 |           4.32x |      0.87x |", border,
+            "Acceptance met: >= 5x inst/s on at least one sweep", ""]),
+            3888976.0),
+        "bench_e19_treesp_throughput": ("\n".join([
+            "tree/SP grids: long runs vs the per-instance route", border,
+            "|  family | instances | per-instance inst/s | no-memo inst/s "
+            "| long-run inst/s | vs per-instance | vs no-memo |", border,
+            "| outtree |     20000 |            334061.8 |      1026177.0 "
+            "|       1383914.8 |           4.14x |      1.35x |",
+            "|      sp |     20000 |            421959.6 |      1089209.2 "
+            "|       1450042.7 |           3.44x |      1.33x |", border,
+            ""]), 1450042.7),
+    }
+    ok = True
+    for name, (log, expected) in canned.items():
+        rates = rates_of(log)
+        best = max(rates) if rates else None
+        if best != expected:
+            print(f"self-test: {name}: best rate {best}, expected {expected}")
+            ok = False
+    print("run_bench self-test: " + ("OK (e12, e18 and e19 each yield "
+                                     "their best rate)" if ok else "FAILED"))
+    sys.exit(0 if ok else 1)
+
+prev_dir, now_dir = sys.argv[1:]
 
 def load(directory):
     runs = {}
@@ -238,6 +224,82 @@ for name in sorted(now):
             print(f"[perf alert] sustained regression in {name} "
                   f"(soft alert only; the run still passes)")
 EOF
+}
+
+if [ "${1:-}" = "--self-test" ]; then
+  exec python3 -c "$(diff_program)" --self-test
+fi
+
+repo_root="$(cd "$(dirname "$0")/.." && pwd)"
+out_dir="${1:-$repo_root/bench-results}"
+if [ "$#" -ge 2 ]; then patterns=("${@:2}"); else patterns=("bench_e*"); fi
+build_dir="${RECLAIM_BENCH_BUILD_DIR:-$repo_root/build-bench}"
+
+cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
+cmake --build "$build_dir" -j
+
+mkdir -p "$out_dir"
+host="$(uname -srm)"
+stamp="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
+commit="$(git -C "$repo_root" rev-parse --short HEAD 2>/dev/null || echo unknown)"
+failures=0
+
+benches=()
+for pattern in "${patterns[@]}"; do
+  for candidate in "$build_dir"/$pattern; do
+    [ -x "$candidate" ] && benches+=("$candidate")
+  done
+done
+
+# Each bench runs under a small Python runner that records its wall time,
+# its output and its peak RSS: the runner starts one child only, so the
+# children's high-water mark (ru_maxrss of RUSAGE_CHILDREN, KiB on Linux)
+# is the bench's own.
+for bench in "${benches[@]}"; do
+  name="$(basename "$bench")"
+  echo "=== $name"
+  if ! python3 - "$bench" "$out_dir" "$stamp" "$commit" "$host" <<'EOF'
+import json, os, resource, subprocess, sys, time
+bench, out_dir, stamp, commit, host = sys.argv[1:]
+name = os.path.basename(bench)
+log = os.path.join(out_dir, name + ".log")
+start = time.monotonic()
+with open(log, "wb") as sink:
+    code = subprocess.call([bench], stdout=sink, stderr=subprocess.STDOUT)
+seconds = round(time.monotonic() - start, 3)
+peak_rss_mb = round(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024, 1)
+status = "ok" if code == 0 else "failed"
+payload = {
+    "bench": name,
+    "status": status,
+    "wall_seconds": seconds,
+    "peak_rss_mb": peak_rss_mb,
+    "timestamp": stamp,
+    "commit": commit,
+    "host": host,
+    "output": open(log, encoding="utf-8", errors="replace").read(),
+}
+json.dump(payload, open(os.path.join(out_dir, f"BENCH_{name}.json"), "w"), indent=2)
+print(f"    {status} in {seconds:.3f}s, peak RSS {peak_rss_mb:.1f} MiB -> BENCH_{name}.json")
+sys.exit(0 if code == 0 else 1)
+EOF
+  then
+    failures=$((failures + 1))
+  fi
+done
+
+echo "Results in $out_dir"
+
+# Diff against a previous run's baselines, if provided. Extracts each
+# bench's instances/second figures from the recorded output (rates_of)
+# and compares the best per bench, alongside wall seconds.
+# Best-effort by contract: a malformed baseline must never fail the run,
+# hence the || after the invocation.
+baseline_dir="${RECLAIM_BENCH_BASELINE_DIR:-}"
+rm -f "$out_dir/.hard-gate-failed"
+if [ -n "$baseline_dir" ] && [ -d "$baseline_dir" ]; then
+  python3 -c "$(diff_program)" "$baseline_dir" "$out_dir" \
+    || echo "[perf diff] diff failed (ignored)"
 fi
 
 # A crashed bench still gets its JSON recorded above, but the run as a
