@@ -152,6 +152,8 @@ void run_fork(const KernelPlan& plan, const Instance* const* instances,
     const graph::NodeId root = plan.root;
     const double d = inst.deadline;
     const double w0 = g.weight(root);
+    const char* const method =
+        plan.join ? "closed-form-join" : "closed-form-fork";
 
     // Theorem 1: l is the parallel equivalent weight of the leaves.
     double sum_pow = 0.0;
@@ -162,7 +164,7 @@ void run_fork(const KernelPlan& plan, const Instance* const* instances,
     const double l = sum_pow > 0.0 ? std::pow(sum_pow, plan.inv_alpha) : 0.0;
 
     Solution& s = out[i];
-    s.method = "closed-form-fork";
+    s.method = method;
     s.speeds.assign(n, 0.0);
 
     const double s0_unconstrained = (l + w0) / d;
@@ -178,7 +180,7 @@ void run_fork(const KernelPlan& plan, const Instance* const* instances,
       s0 = plan.s_max;
       leaf_window = d - w0 / plan.s_max;
       if (l > 0.0 && leaf_window <= 0.0) {
-        s = infeasible_solution("closed-form-fork");
+        s = infeasible_solution(method);
         continue;
       }
     }
@@ -187,7 +189,7 @@ void run_fork(const KernelPlan& plan, const Instance* const* instances,
     bool infeasible = false;
     if (w0 > 0.0) {
       if (!within_speed_cap(s0, plan.s_max)) {
-        s = infeasible_solution("closed-form-fork");
+        s = infeasible_solution(method);
         continue;
       }
       s0 = std::min(s0, plan.s_max);
@@ -207,7 +209,7 @@ void run_fork(const KernelPlan& plan, const Instance* const* instances,
       s.energy += inst.power_of(v).task_energy(w, s.speeds[v]);
     }
     if (infeasible) {
-      s = infeasible_solution("closed-form-fork");
+      s = infeasible_solution(method);
       continue;
     }
     s.feasible = true;
@@ -420,6 +422,7 @@ std::optional<KernelPlan> plan_reduction(
       plan.family = KernelFamily::kChain;
       break;
     case graph::GraphShape::kFork:
+    case graph::GraphShape::kJoin:
       plan.family = KernelFamily::kFork;
       break;
     case graph::GraphShape::kOutTree:
@@ -430,7 +433,7 @@ std::optional<KernelPlan> plan_reduction(
       plan.family = KernelFamily::kSp;
       break;
     default:
-      return std::nullopt;  // empty, join, general
+      return std::nullopt;  // empty, general
   }
 
   if (!instance.homogeneous_tasks()) {
@@ -451,10 +454,31 @@ std::optional<KernelPlan> plan_reduction(
     plan.alpha = power.alpha();
     plan.inv_alpha = 1.0 / plan.alpha;
   }
-  if (plan.family == KernelFamily::kFork) plan.root = g.sources().front();
+  // A join is the fork walked from its sink: Equation (1) is symmetric
+  // under time reversal, and run_fork reads nothing but the root and the
+  // weights, in node-id order.
+  plan.join = info.shape == graph::GraphShape::kJoin;
+  if (plan.family == KernelFamily::kFork) {
+    plan.root = plan.join ? g.sinks().front() : g.sources().front();
+  }
   // Tree/SP: the cached composition plan, or the topology flattened now.
   if (plan.family == KernelFamily::kTree || plan.family == KernelFamily::kSp) {
     plan.comp = info.comp ? info.comp : graph::composition_plan(g, info);
+  }
+  return plan;
+}
+
+/// The one closed-form decision, shared by plan_kernel and
+/// solve_closed_form: the reduction's plan, kept under kExact only where
+/// the reduction is exact a priori (elsewhere the exact route runs a
+/// waterfill or barrier pass on top of it).
+std::optional<KernelPlan> plan_closed_form(
+    const Instance& instance, const model::ContinuousModel& model,
+    double s_min, LeakageMode leakage, const graph::ShapeInfo& info) {
+  auto plan = plan_reduction(instance, model, s_min, info);
+  if (plan && leakage == LeakageMode::kExact &&
+      !reduction_exact_a_priori(instance, model, info.shape)) {
+    return std::nullopt;
   }
   return plan;
 }
@@ -470,6 +494,46 @@ bool kernel_eligible(const Instance& instance, const model::EnergyModel& model,
            instance.platform.has_sleep());
 }
 
+bool reduction_exact_a_priori(const Instance& instance,
+                              const model::ContinuousModel& model,
+                              graph::GraphShape shape) {
+  const auto& g = instance.exec_graph;
+  const std::size_t n = g.num_nodes();
+  bool any_static = false;
+  for (graph::NodeId v = 0; v < n; ++v) {
+    if (g.weight(v) > 0.0 && instance.power_of(v).has_static_power()) {
+      any_static = true;
+      break;
+    }
+  }
+  if (!any_static) return true;
+  if (n <= 1) return true;
+  if (shape != graph::GraphShape::kChain &&
+      shape != graph::GraphShape::kSingleTask) {
+    return false;
+  }
+
+  bool first = true;
+  double alpha = 0.0;
+  double p_static = 0.0;
+  double cap = 0.0;
+  for (graph::NodeId v = 0; v < n; ++v) {
+    if (g.weight(v) == 0.0) continue;
+    const auto& power = instance.power_of(v);
+    const double task_cap = std::min(model.s_max, instance.cap_of(v));
+    if (first) {
+      alpha = power.alpha();
+      p_static = power.p_static();
+      cap = task_cap;
+      first = false;
+    } else if (power.alpha() != alpha || power.p_static() != p_static ||
+               task_cap != cap) {
+      return false;
+    }
+  }
+  return true;
+}
+
 std::optional<KernelPlan> plan_kernel(const Instance& instance,
                                       const model::EnergyModel& model,
                                       const SolveOptions& options,
@@ -479,25 +543,15 @@ std::optional<KernelPlan> plan_kernel(const Instance& instance,
   const graph::ShapeInfo& info =
       shape != nullptr ? *shape
                        : analyzed.emplace(graph::analyze(instance.exec_graph));
-  const auto& continuous = std::get<model::ContinuousModel>(model);
-  auto plan =
-      plan_reduction(instance, continuous, options.continuous_s_min, info);
-  if (plan && options.leakage == LeakageMode::kExact &&
-      (plan->hetero || ((plan->family == KernelFamily::kFork ||
-                         plan->family == KernelFamily::kTree ||
-                         plan->family == KernelFamily::kSp) &&
-                        instance.power_of(0).has_static_power()))) {
-    // Slack-bearing leaky shapes: the exact route runs a waterfill or
-    // barrier pass on top of the reduction — not batchable.
-    return std::nullopt;
-  }
-  return plan;
+  return plan_closed_form(instance, std::get<model::ContinuousModel>(model),
+                          options.continuous_s_min, options.leakage, info);
 }
 
 bool solve_closed_form(const Instance& instance,
                        const model::ContinuousModel& model, double s_min,
-                       const graph::ShapeInfo& shape, Solution& out) {
-  const auto plan = plan_reduction(instance, model, s_min, shape);
+                       LeakageMode leakage, const graph::ShapeInfo& shape,
+                       Solution& out) {
+  const auto plan = plan_closed_form(instance, model, s_min, leakage, shape);
   if (!plan) return false;
   const Instance* const ptr = &instance;
   solve_kernel_run(*plan, &ptr, 1, &out);
@@ -507,7 +561,9 @@ bool solve_closed_form(const Instance& instance,
 std::optional<KernelFamily> kernel_family_of(std::string_view method) {
   if (method == "closed-form-single") return KernelFamily::kSingle;
   if (method == "closed-form-chain") return KernelFamily::kChain;
-  if (method == "closed-form-fork") return KernelFamily::kFork;
+  if (method == "closed-form-fork" || method == "closed-form-join") {
+    return KernelFamily::kFork;
+  }
   if (method == "tree") return KernelFamily::kTree;
   if (method == "series-parallel") return KernelFamily::kSp;
   return std::nullopt;

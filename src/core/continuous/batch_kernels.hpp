@@ -10,8 +10,8 @@
 //     s_i = s_0 * w_i / l,
 //   and when s_0 would exceed s_max: s_0 = s_max, the leaves share
 //   D' = D - w_0/s_max with s_i = w_i / D' (infeasible when any exceeds
-//   s_max — the paper's saturated branch). A join is the fork of the
-//   reversed graph (solve_continuous reverses it).
+//   s_max — the paper's saturated branch). Equation (1) is symmetric
+//   under time reversal, so a join is the same fork rooted at its sink.
 // - Out-tree (Theorem 2 with a finite cap): bottom-up equivalent weights
 //   weq(v) = w_v + l_alpha(children), then top-down
 //     s_v = min(weq(v) / window_v, s_max),  window_child = window_v - w_v/s_v,
@@ -28,15 +28,15 @@
 //   exponent and W/D clears every per-task floor and cap (DESIGN.md,
 //   "When the closed forms stay exact").
 //
-// solve_continuous answers every closed-form shape with a run of one
-// (solve_closed_form); the engine also solves runs of instances that
-// share one topology and power model and differ only in weights W and
-// deadline D — sweeps, Pareto curves, a daemon's steady state — in one
-// pass: plan_kernel on the run's head, kernel_eligible and
-// kernel_run_compatible to extend it, solve_kernel_run over the run, with
-// no per-instance dispatch, scratch allocation or cache traffic. Either
-// way an instance gets the same operations in the same order, so a long
-// run is bit-identical to core::solve by construction.
+// solve_continuous asks the planner first and answers every closed-form
+// shape with a run of one (solve_closed_form); the engine also solves
+// runs of instances that share one topology and power model and differ
+// only in weights W and deadline D — sweeps, Pareto curves, a daemon's
+// steady state — in one pass: plan_kernel on the run's head,
+// kernel_eligible and kernel_run_compatible to extend it, solve_kernel_run
+// over the run, with no per-instance dispatch, scratch allocation or cache
+// traffic. Either way an instance gets the same operations in the same
+// order, so a long run is bit-identical to core::solve by construction.
 //
 // Hand-back: an instance whose closed form violates the s_crit floor (or
 // the SP speed cap, or a hetero chain off the equal-speed form) is left
@@ -52,13 +52,12 @@
 //     per-slot caps and s_crit floors (big.LITTLE sweeps). Weights and
 //     deadline stay the free axes; the per-slot platform is part of the
 //     run signature.
-//   - Shape single / chain / fork / out-/in-tree / series-parallel, as
-//     graph::analyze decides it (joins are in-trees structurally but get
-//     the reversed-fork route inside solve_continuous; they do not plan).
-//   - LeakageMode::kExact only where the s_crit reduction is provably
-//     exact a priori (single/chain under a homogeneous model; forks,
-//     trees and SP only without static power) — everywhere else the
-//     exact route runs a waterfill or barrier pass on top.
+//   - Shape single / chain / fork / join / out-/in-tree /
+//     series-parallel, as graph::analyze decides it. A join plans as the
+//     fork family rooted at its sink.
+//   - LeakageMode::kExact only where reduction_exact_a_priori holds —
+//     everywhere else the exact route runs a waterfill or barrier pass on
+//     top of the reduction.
 #pragma once
 
 #include <cstddef>
@@ -89,8 +88,11 @@ struct KernelPlan {
   /// Effective speed floor max(s_min, min(s_crit, s_max)) — the s_crit
   /// reduction's clamp, shared by every task of a homogeneous instance.
   double floor = 0.0;
-  /// Fork only: the root node.
+  /// Fork only: the root node — the source of a fork, the sink of a
+  /// join.
   graph::NodeId root = 0;
+  /// Fork only: the run is a join (its answers say "closed-form-join").
+  bool join = false;
   /// Fork/tree/SP: the shared dynamic exponent and its reciprocal for
   /// the l_alpha folds.
   double alpha = 0.0;
@@ -115,6 +117,23 @@ struct KernelPlan {
                                    const model::EnergyModel& model,
                                    const SolveOptions& options);
 
+/// True when the s_crit reduction provably attains the true leaky optimum
+/// on `instance` (DESIGN.md, "When the reduction is exact"), so
+/// LeakageMode::kExact answers with the reduction's solution:
+///   - no weighted task has static power (the floor is 0),
+///   - a single task (its own floor and cap apply directly),
+///   - a chain whose weighted tasks share one alpha, P_stat and effective
+///     cap: once the deadline binds, sum d_v = D makes the leakage term
+///     allocation-independent; otherwise every task sits at the shared
+///     s_crit (or cap), its per-task global minimum.
+/// Mixed-P_stat chains and slack-bearing parallel shapes are exactly the
+/// documented not-exact class and return false. `shape` is the
+/// instance's graph::analyze shape. The answer depends on which tasks
+/// carry weight, so it is asked of every instance of a kExact run.
+[[nodiscard]] bool reduction_exact_a_priori(const Instance& instance,
+                                            const model::ContinuousModel& model,
+                                            graph::GraphShape shape);
+
 /// Returns the kernel plan when `instance` under `model` and `options`
 /// takes a closed-form route through core::solve; std::nullopt otherwise.
 /// `shape`, when given, must be graph::analyze of the instance's graph
@@ -126,15 +145,16 @@ struct KernelPlan {
     const Instance& instance, const model::EnergyModel& model,
     const SolveOptions& options, const graph::ShapeInfo* shape = nullptr);
 
-/// The closed-form answer solve_continuous gives under the s_crit
-/// reduction with requested floor `s_min`: a kernel run of one on the
-/// analyzed `shape`, written to `out`. False, with `out` unspecified,
-/// when the shape has no closed form here (empty, join, general, a hetero
-/// platform off a chain, or s_min above the cap) or the kernel hands the
-/// instance back.
+/// solve_continuous's closed-form step, with requested floor `s_min`
+/// under `leakage`: plans as plan_kernel does and runs the kernel on the
+/// one instance, writing its answer to `out`. False, with `out`
+/// unspecified, when the planner rejects the instance (empty or general
+/// shape, a hetero platform off a chain, s_min above the cap, or kExact
+/// where the reduction is not exact a priori) or the kernel hands it
+/// back.
 [[nodiscard]] bool solve_closed_form(const Instance& instance,
                                      const model::ContinuousModel& model,
-                                     double s_min,
+                                     double s_min, LeakageMode leakage,
                                      const graph::ShapeInfo& shape,
                                      Solution& out);
 

@@ -14,14 +14,6 @@ namespace reclaim::core {
 
 namespace {
 
-Solution numeric(const Instance& instance, const model::ContinuousModel& model,
-                 double s_min, const ContinuousOptions& options) {
-  NumericOptions numeric_options;
-  numeric_options.rel_gap = options.rel_gap;
-  numeric_options.s_min = s_min;
-  return solve_numeric(instance, model, numeric_options);
-}
-
 /// Per-task effective bounds of the s_crit reduction, shared by the
 /// heterogeneous route and the exact-leaky route: cap_v folds the model's
 /// global cap with the processor cap, and weighted tasks get the floor
@@ -50,105 +42,15 @@ bool effective_bounds(const Instance& instance,
   return true;
 }
 
-/// Heterogeneous route: a chain keeps its equal-speed closed form where
-/// that is exact; everything else — and every chain where a floor, a cap
-/// or mixed exponents rule it out — runs the numeric barrier solver with
-/// per-task caps (processor cap folded with the model's global one) and
-/// s_crit floors (DESIGN.md, "Heterogeneous platforms").
-Solution solve_hetero(const Instance& instance,
-                      const model::ContinuousModel& model,
-                      const ContinuousOptions& options,
-                      const graph::ShapeInfo& info) {
-  if (!options.force_numeric) {
-    Solution s;
-    if (solve_closed_form(instance, model, options.s_min, info, s)) return s;
-  }
-
-  NumericOptions numeric_options;
-  numeric_options.rel_gap = options.rel_gap;
-  if (!effective_bounds(instance, model, options.s_min,
-                        numeric_options.s_max_per_task,
-                        numeric_options.s_min_per_task)) {
-    return infeasible_solution("numeric-barrier");
-  }
-  return solve_numeric(instance, model, numeric_options);
-}
-
-/// Join: Equation (1) is symmetric under time reversal, so the join
-/// optimum is the fork optimum of the reversed graph with identical
-/// speeds. Reversal preserves node ids, so the platform assignment
-/// carries over verbatim.
-bool solve_join(const Instance& instance, const model::ContinuousModel& model,
-                double s_min, Solution& out) {
-  const Instance reversed{instance.exec_graph.reversed(), instance.deadline,
-                          instance.platform, instance.assignment};
-  graph::ShapeInfo fork;
-  fork.shape = graph::GraphShape::kFork;
-  if (!solve_closed_form(reversed, model, s_min, fork, out)) return false;
-  out.method = "closed-form-join";
-  return true;
-}
-
-/// True when the s_crit reduction provably attains the true leaky optimum
-/// on this instance (DESIGN.md, "When the reduction is exact"), so the
-/// exact route can skip its second solve and return the reduction's
-/// solution bit-identically:
-///   - no weighted task has static power (the floor is 0),
-///   - a single task (its own floor and cap apply directly),
-///   - a chain whose weighted tasks share one alpha, P_stat and effective
-///     cap: once the deadline binds, sum d_v = D makes the leakage term
-///     allocation-independent; otherwise every task sits at the shared
-///     s_crit (or cap), its per-task global minimum.
-/// Mixed-P_stat chains and slack-bearing parallel shapes are exactly the
-/// documented not-exact class and return false.
-bool reduction_exact_a_priori(const Instance& instance,
-                              const model::ContinuousModel& model,
-                              graph::GraphShape shape) {
-  const auto& g = instance.exec_graph;
-  const std::size_t n = g.num_nodes();
-  bool any_static = false;
-  for (graph::NodeId v = 0; v < n; ++v) {
-    if (g.weight(v) > 0.0 && instance.power_of(v).has_static_power()) {
-      any_static = true;
-      break;
-    }
-  }
-  if (!any_static) return true;
-  if (n <= 1) return true;
-  if (shape != graph::GraphShape::kChain &&
-      shape != graph::GraphShape::kSingleTask) {
-    return false;
-  }
-
-  bool first = true;
-  double alpha = 0.0;
-  double p_static = 0.0;
-  double cap = 0.0;
-  for (graph::NodeId v = 0; v < n; ++v) {
-    if (g.weight(v) == 0.0) continue;
-    const auto& power = instance.power_of(v);
-    const double task_cap = std::min(model.s_max, instance.cap_of(v));
-    if (first) {
-      alpha = power.alpha();
-      p_static = power.p_static();
-      cap = task_cap;
-      first = false;
-    } else if (power.alpha() != alpha || power.p_static() != p_static ||
-               task_cap != cap) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// LeakageMode::kExact: solve the reduction, and unless it is provably
-/// exact on this instance also run the numeric barrier solver on the true
-/// duration-charged objective, adopting its answer only when it clearly
-/// beats the reduction. "Clearly" means beyond barrier noise (a multiple
-/// of the duality-gap target): instances where the reduction is already
-/// optimal — but only detectably so a posteriori, e.g. floors binding
-/// everywhere — keep the reduction's solution bit-identically, and the
-/// exact route's energy can never exceed the reduction's.
+/// LeakageMode::kExact past the closed-form step: solve the reduction,
+/// and unless it is exact a priori on this instance also run the numeric
+/// barrier solver on the true duration-charged objective, adopting its
+/// answer only when it clearly beats the reduction. "Clearly" means
+/// beyond barrier noise (a multiple of the duality-gap target): instances
+/// where the reduction is already optimal — but only detectably so a
+/// posteriori, e.g. floors binding everywhere — keep the reduction's
+/// solution bit-identically, and the exact route's energy can never
+/// exceed the reduction's.
 Solution solve_exact_leaky(const Instance& instance,
                            const model::ContinuousModel& model,
                            const ContinuousOptions& options,
@@ -203,16 +105,38 @@ Solution solve_continuous(const Instance& instance,
   std::optional<graph::ShapeInfo> analyzed;
   const graph::ShapeInfo& info =
       options.shape ? *options.shape : analyzed.emplace(graph::analyze(g));
+
+  // The one closed-form decision: the kernel planner's, under the same
+  // leakage mode. The closed forms apply the s_crit reduction's floor
+  // themselves and hand an instance back when it binds.
+  if (!options.force_numeric) {
+    Solution s;
+    if (solve_closed_form(instance, original_model, options.s_min,
+                          options.leakage, info, s)) {
+      return s;
+    }
+  }
   if (options.leakage == LeakageMode::kExact) {
     return solve_exact_leaky(instance, original_model, options, info);
   }
-  if (!instance.homogeneous_tasks())
-    return solve_hetero(instance, original_model, options, info);
+
+  NumericOptions numeric_options;
+  numeric_options.rel_gap = options.rel_gap;
+  // Heterogeneous platforms: the numeric barrier solver with per-task caps
+  // (processor cap folded with the model's global one) and s_crit floors
+  // (DESIGN.md, "Heterogeneous platforms").
+  if (!instance.homogeneous_tasks()) {
+    if (!effective_bounds(instance, original_model, options.s_min,
+                          numeric_options.s_max_per_task,
+                          numeric_options.s_min_per_task)) {
+      return infeasible_solution("numeric-barrier");
+    }
+    return solve_numeric(instance, original_model, numeric_options);
+  }
 
   // Homogeneous platform: fold the (shared) processor cap into the model's
-  // global one and run the identical-processor machinery unchanged. With
-  // an uncapped platform min(s_max, +inf) == s_max, so pre-platform
-  // instances take bit-identical paths.
+  // global one. With an uncapped platform min(s_max, +inf) == s_max, so
+  // pre-platform instances take bit-identical paths.
   const std::size_t proc0 =
       g.num_nodes() == 0 ? 0 : instance.processor_of(0);
   const model::ContinuousModel model{
@@ -231,23 +155,12 @@ Solution solve_continuous(const Instance& instance,
     trivial.speeds.assign(g.num_nodes(), 0.0);
     return trivial;
   }
-
-  // The closed forms apply the s_crit reduction's floor themselves and
-  // hand an instance back when it binds.
-  if (!options.force_numeric) {
-    if (info.shape == graph::GraphShape::kEmpty) {
-      Solution s;
-      s.feasible = true;
-      s.energy = 0.0;
-      s.method = "trivial-empty";
-      return s;
-    }
+  if (!options.force_numeric && info.shape == graph::GraphShape::kEmpty) {
     Solution s;
-    if (info.shape == graph::GraphShape::kJoin
-            ? solve_join(instance, model, options.s_min, s)
-            : solve_closed_form(instance, model, options.s_min, info, s)) {
-      return s;
-    }
+    s.feasible = true;
+    s.energy = 0.0;
+    s.method = "trivial-empty";
+    return s;
   }
 
   // The s_crit reduction (DESIGN.md): under P = P_stat + s^alpha the
@@ -255,9 +168,9 @@ Solution solve_continuous(const Instance& instance,
   // leakage-aware problem runs the pure-dynamic machinery with the speed
   // floor raised to s_crit (capped at s_max: beyond the cap the cheapest
   // admissible speed is s_max itself).
-  const double floor = std::max(
+  numeric_options.s_min = std::max(
       options.s_min, std::min(instance.power().critical_speed(), model.s_max));
-  return numeric(instance, model, floor, options);
+  return solve_numeric(instance, model, numeric_options);
 }
 
 }  // namespace reclaim::core

@@ -1,16 +1,18 @@
 // Continuous-model front door: picks the strongest applicable solver.
 //
-//   single/chain/fork -> closed forms (Theorem 1)
-//   join              -> the fork closed form on the reversed graph
-//   out-/in-tree      -> l_alpha composition (Theorem 2, finite s_max)
-//   series-parallel   -> SP composition (Theorem 2) when the unconstrained
-//                        optimum respects s_max
-//   anything else     -> numeric barrier solver (geometric program)
+//   single/chain/fork/join -> closed forms (Theorem 1; a join is the fork
+//                             rooted at its sink)
+//   out-/in-tree           -> l_alpha composition (Theorem 2, finite s_max)
+//   series-parallel        -> SP composition (Theorem 2) when the
+//                             unconstrained optimum respects s_max
+//   anything else          -> numeric barrier solver (geometric program)
 //
-// Every closed form is a kernel run of one (core/continuous/
-// batch_kernels): the engine's long runs use the same kernels, so its
-// answers are bit-identical to this function's by construction. A closed
-// form the kernel hands back — an optional speed floor s_min (Theorem 5's
+// The closed forms are one decision, taken first: solve_continuous asks
+// the engine's kernel planner (core/continuous/batch_kernels) under the
+// same leakage mode and answers with a kernel run of one. The engine's
+// long runs use the same planner and kernels, so its answers are
+// bit-identical to this function's by construction. A closed form the
+// kernel hands back — an optional speed floor s_min (Theorem 5's
 // rounding) or the SP speed cap binds — runs the floored numeric solver.
 // Under a leakage-aware power model the floor is additionally raised to
 // the critical speed s_crit (the s_crit reduction, DESIGN.md); single-task
@@ -19,19 +21,19 @@
 // the floor binds.
 //
 // Heterogeneous platforms (tasks seeing different power models or
-// processor caps via Instance::power_of/cap_of) route through per-task
-// caps and s_crit floors: chains whose weighted tasks share one exponent
-// keep their closed form where exact, everything else runs the numeric
-// barrier solver with per-task bounds (DESIGN.md, "Heterogeneous
-// platforms").
+// processor caps via Instance::power_of/cap_of): chains whose weighted
+// tasks share one exponent keep their closed form where exact; everything
+// else runs the numeric barrier solver with per-task caps and s_crit
+// floors (DESIGN.md, "Heterogeneous platforms").
 //
-// LeakageMode::kExact upgrades the reduction to the exact leaky solver:
-// instances where the reduction is provably optimal (no static power,
-// single tasks, uniform-P_stat/alpha/cap chains) delegate to it and
-// return its solution bit-identically; everything else additionally runs
-// the numeric barrier solver on the true duration-charged objective
-// sum_v (P_stat_v d_v + w_v^alpha_v / d_v^(alpha_v-1)) and keeps the
-// cheaper answer (DESIGN.md, "Exact leaky solver").
+// LeakageMode::kExact upgrades the reduction to the exact leaky solver.
+// Where the reduction is provably optimal (reduction_exact_a_priori: no
+// static power, single tasks, uniform-P_stat/alpha/cap chains) it returns
+// the reduction's solution bit-identically, and the planner plans exactly
+// those instances. Everything else additionally runs a waterfill (chains,
+// forks) or the numeric barrier solver on the true duration-charged
+// objective sum_v (P_stat_v d_v + w_v^alpha_v / d_v^(alpha_v-1)) and keeps
+// the cheaper answer (DESIGN.md, "Exact leaky solver").
 #pragma once
 
 #include "core/problem.hpp"

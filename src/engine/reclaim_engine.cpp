@@ -171,8 +171,9 @@ std::vector<core::Solution> ReclaimEngine::kernel_batch(
                                const core::Instance* const* ptrs,
                                std::size_t lo, std::size_t hi) {
     std::optional<core::KernelPlan> plan;
+    graph::ShapeInfo shape;
     if (head != nullptr) {
-      const graph::ShapeInfo shape = shape_of(head->exec_graph);
+      shape = shape_of(head->exec_graph);
       plan = core::plan_kernel(*head, model, options, &shape);
     }
     if (!plan) {
@@ -180,9 +181,18 @@ std::vector<core::Solution> ReclaimEngine::kernel_batch(
       return;
     }
     core::solve_kernel_run(*plan, ptrs, hi - lo, out.data() + lo);
+    // Under kExact the planner's test reads which tasks carry weight, a
+    // free axis of the run: it is asked of every instance, not only of
+    // the head.
+    const auto exact_a_priori = [&](std::size_t k) {
+      return options.leakage != core::LeakageMode::kExact ||
+             core::reduction_exact_a_priori(
+                 instance_at(k), std::get<model::ContinuousModel>(model),
+                 shape.shape);
+    };
     std::size_t solved = 0;
     for (std::size_t k = lo; k < hi; ++k) {
-      if (out[k].method.empty()) {
+      if (out[k].method.empty() || !exact_a_priori(k)) {
         out[k] = solve_scalar(k);
       } else {
         ++solved;

@@ -114,8 +114,9 @@ struct EngineStats {
   /// closed-form crawl counts here too.
   std::size_t kernel_solves = 0;
   /// Per-family split of kernel_solves (which stays the total): which
-  /// closed-form kernel solved each fast-path instance. The tree/SP
-  /// counters are the observable for "sweeps stopped re-decomposing".
+  /// closed-form kernel solved each fast-path instance (joins count as
+  /// the fork family). The tree/SP counters are the observable for
+  /// "sweeps stopped re-decomposing".
   std::size_t kernel_single = 0;
   std::size_t kernel_chain = 0;
   std::size_t kernel_fork = 0;

@@ -8,10 +8,6 @@ void require(bool condition, std::string_view message) {
   if (!condition) throw InvalidArgument(std::string(message));
 }
 
-void require_feasible(bool condition, std::string_view message) {
-  if (!condition) throw Infeasible(std::string(message));
-}
-
 void require_numeric(bool condition, std::string_view message) {
   if (!condition) throw NumericalError(std::string(message));
 }

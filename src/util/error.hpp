@@ -24,13 +24,6 @@ class InvalidArgument : public Error {
   explicit InvalidArgument(const std::string& what) : Error(what) {}
 };
 
-/// The optimization problem has no feasible solution (e.g. the deadline is
-/// below the critical-path time at maximum speed).
-class Infeasible : public Error {
- public:
-  explicit Infeasible(const std::string& what) : Error(what) {}
-};
-
 /// A numerical routine failed to converge or detected an ill-posed input
 /// (singular matrix, unbounded LP, ...).
 class NumericalError : public Error {
@@ -42,9 +35,6 @@ namespace util {
 
 /// Throws InvalidArgument with `message` when `condition` is false.
 void require(bool condition, std::string_view message);
-
-/// Throws Infeasible with `message` when `condition` is false.
-void require_feasible(bool condition, std::string_view message);
 
 /// Throws NumericalError with `message` when `condition` is false.
 void require_numeric(bool condition, std::string_view message);

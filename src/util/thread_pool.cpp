@@ -1,7 +1,6 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 #include "util/error.hpp"
 
@@ -50,44 +49,6 @@ void ThreadPool::worker_loop() {
     }
     task();  // exceptions propagate through the packaged_task's future
   }
-}
-
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& body) {
-  if (begin >= end) return;
-  const std::size_t n = end - begin;
-  const std::size_t chunks = std::min(n, std::max<std::size_t>(1, size() * 4));
-  const std::size_t chunk_size = (n + chunks - 1) / chunks;
-
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = begin + c * chunk_size;
-    if (lo >= end) break;
-    const std::size_t hi = std::min(end, lo + chunk_size);
-    futures.push_back(submit([lo, hi, &body] {
-      for (std::size_t i = lo; i < hi; ++i) body(i);
-    }));
-  }
-  std::exception_ptr first_error;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-ThreadPool& global_pool() {
-  static ThreadPool pool;
-  return pool;
-}
-
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body) {
-  global_pool().parallel_for(begin, end, body);
 }
 
 }  // namespace reclaim::util

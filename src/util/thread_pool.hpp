@@ -1,9 +1,6 @@
-// A small fixed-size thread pool with a parallel_for helper.
-//
-// The experiment harness evaluates many independent problem instances; the
-// pool partitions index ranges across worker threads (CP.4: prefer tasks to
-// raw threads; exceptions thrown by workers are captured and rethrown on
-// the caller's thread).
+// A small fixed-size thread pool: the engine's solve_batch and submit
+// workers run on it (CP.4: prefer tasks to raw threads; an exception
+// thrown by a task is captured and rethrown by its future).
 #pragma once
 
 #include <cstddef>
@@ -32,11 +29,6 @@ class ThreadPool {
   /// Enqueues `task` and returns a future for its completion.
   std::future<void> submit(std::function<void()> task);
 
-  /// Runs body(i) for i in [begin, end), partitioned into contiguous chunks.
-  /// Blocks until all iterations finish; rethrows the first exception.
-  void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(std::size_t)>& body);
-
  private:
   void worker_loop();
 
@@ -46,13 +38,5 @@ class ThreadPool {
   std::deque<std::packaged_task<void()>> queue_ RECLAIM_GUARDED_BY(mutex_);
   bool stopping_ RECLAIM_GUARDED_BY(mutex_) = false;
 };
-
-/// Process-wide pool for harness sweeps (lazily constructed, sized to the
-/// hardware concurrency).
-ThreadPool& global_pool();
-
-/// Convenience wrapper over global_pool().parallel_for.
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body);
 
 }  // namespace reclaim::util

@@ -6,6 +6,7 @@
 // from the rest.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <exception>
@@ -96,6 +97,7 @@ std::vector<rc::Instance> homogeneous_sweep(std::uint64_t seed,
     } else {
       g = family == "chain"  ? rg::make_chain(weights)
           : family == "fork" ? rg::make_fork(weights)
+          : family == "join" ? rg::make_join(weights)
                              : rg::make_chain({weights[0]});
     }
     const double d_min = rc::min_deadline(g, 2.0);
@@ -332,11 +334,15 @@ TEST(BatchKernels, PlannerRejectsIneligibleInstances) {
   const auto chain_inst = rc::make_instance(std::move(chain), 10.0, 3.0);
   EXPECT_FALSE(rc::plan_kernel(chain_inst, discrete, options).has_value());
 
-  // Joins are in-trees structurally, but solve_continuous answers them
-  // with the fork kernel on the reversed graph — they do not plan.
+  // Joins are in-trees structurally, but plan as the fork family rooted
+  // at their sink, as solve_continuous answers them.
   const auto join =
       rc::make_instance(rg::make_join({1.0, 2.0, 3.0}), 50.0, 3.0);
-  EXPECT_FALSE(rc::plan_kernel(join, cont, options).has_value());
+  const auto join_plan = rc::plan_kernel(join, cont, options);
+  ASSERT_TRUE(join_plan.has_value());
+  EXPECT_EQ(join_plan->family, rc::KernelFamily::kFork);
+  EXPECT_TRUE(join_plan->join);
+  EXPECT_EQ(join_plan->root, join.exec_graph.sinks().front());
 
   // Exact-leaky trees/SP with static power run best-of(reduction, numeric)
   // — not batchable; without static power the reduction is exact a priori
@@ -522,6 +528,66 @@ TEST(BatchKernels, StatsSplitKernelSolvesPerFamily) {
             stats.kernel_solves);
   engine.clear_caches();
   EXPECT_EQ(engine.stats().kernel_tree, 0u);
+}
+
+TEST(BatchKernels, JoinsAreCountedAsForkKernelSolves) {
+  // A join is the fork rooted at its sink: long runs take the kernels
+  // and stay out of the memo, and a run of one counts as a fork kernel
+  // solve, on both kernel_batch drivers and through solve_one.
+  const auto joins = homogeneous_sweep(229, 8, "join", rm::PowerLaw(3.0), 0.0);
+  const rm::EnergyModel cont = rm::ContinuousModel{2.0};
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    re::ReclaimEngine engine({.threads = threads});
+    const auto out =
+        engine.solve_batch(std::span<const rc::Instance>(joins), cont, {});
+    for (std::size_t i = 0; i < joins.size(); ++i) {
+      expect_identical(out[i], rc::solve(joins[i], cont, {}));
+      EXPECT_EQ(out[i].method, "closed-form-join");
+    }
+    const auto stats = engine.stats();
+    EXPECT_EQ(stats.kernel_solves, joins.size());
+    EXPECT_EQ(stats.kernel_fork, joins.size());
+    EXPECT_EQ(stats.memo_entries, 0u);
+  }
+  re::ReclaimEngine one({.threads = 1});
+  for (const auto& join : joins) (void)one.solve_one(join, cont);
+  EXPECT_EQ(one.stats().kernel_solves, joins.size());
+  EXPECT_EQ(one.stats().kernel_fork, joins.size());
+}
+
+TEST(BatchKernels, ExactRunsCheckEveryInstanceAPriori) {
+  // Under kExact whether the reduction is exact a priori depends on which
+  // tasks carry weight, a free axis of a run. Here the run's head puts
+  // no weight on the leaky processor, so it plans; the others do, and
+  // core::solve gives them the exact waterfill. The long run must match
+  // core::solve instance by instance.
+  const rm::Platform platform({{rm::make_power_model(3.0, 0.0), 2.0},
+                               {rm::make_power_model(3.0, 0.3), 1.2}});
+  const std::vector<std::size_t> assignment{0, 1, 0, 1, 0, 1};
+  std::vector<rc::Instance> run;
+  ru::Rng rng(233);
+  for (std::size_t i = 0; i < 8; ++i) {
+    std::vector<double> weights(assignment.size());
+    for (std::size_t v = 0; v < weights.size(); ++v) {
+      weights[v] = i == 0 && assignment[v] == 1 ? 0.0 : rng.uniform(0.5, 4.0);
+    }
+    rg::Digraph g = rg::make_chain(weights);
+    const double d = rng.uniform(1.5, 3.0) * rc::min_deadline(g, 1.2);
+    run.push_back(rc::make_instance(std::move(g), d, platform, assignment));
+  }
+  const rm::EnergyModel cont = rm::ContinuousModel{2.0};
+  rc::SolveOptions exact;
+  exact.leakage = rc::LeakageMode::kExact;
+  ASSERT_TRUE(rc::plan_kernel(run[0], cont, exact).has_value());
+  std::size_t waterfilled = 0;
+  for (const auto& instance : run) {
+    if (rc::solve(instance, cont, exact).method != "closed-form-chain") {
+      ++waterfilled;
+    }
+  }
+  EXPECT_GT(waterfilled, 0u);
+  expect_batches_identical(run, cont, exact);
 }
 
 TEST(BatchKernels, KernelPlannerReusesShapeCache) {
@@ -883,4 +949,98 @@ TEST(BatchKernels, RepeatedSolvesAreBitIdentical) {
     }
     EXPECT_GT(engine.stats().kernel_solves, 0u);
   }
+}
+
+// ------------------------------------------------------ route agreement
+
+namespace {
+
+/// A graph of `shape` (positive weights) for the route-agreement grid.
+rg::Digraph agreement_graph(const std::string& shape, ru::Rng& rng) {
+  std::vector<double> w(6);
+  for (double& x : w) x = rng.uniform(0.5, 4.0);
+  if (shape == "empty") return rg::Digraph{};
+  if (shape == "single") return rg::make_chain({w[0]});
+  if (shape == "chain") return rg::make_chain(w);
+  if (shape == "fork") return rg::make_fork(w);
+  if (shape == "join") return rg::make_join(w);
+  if (shape == "outtree") return rg::make_random_out_tree(7, rng);
+  if (shape == "intree") return rg::make_random_in_tree(7, rng);
+  if (shape == "sp") return rg::make_random_series_parallel(7, rng);
+  return rg::make_stencil(3, 3, rng);
+}
+
+}  // namespace
+
+TEST(BatchKernels, PlannerAgreesWithCoreSolve) {
+  // Wherever core::solve answers with a closed form under the reduction,
+  // or under kExact where the reduction is exact a priori, plan_kernel
+  // plans the instance and its run of one is bit-identical; and wherever
+  // the kernel answers, it answers as core::solve does. On this grid
+  // (positive weights, one exponent) the reduction is exact a priori when
+  // no task has static power, on single tasks and on homogeneous chains.
+  const std::vector<std::string> closed_forms = {
+      "closed-form-single", "closed-form-chain", "closed-form-fork",
+      "closed-form-join",   "tree",              "series-parallel"};
+  const rm::EnergyModel cont = rm::ContinuousModel{2.0};
+  std::size_t checked = 0;
+  for (const std::string shape : {"empty", "single", "chain", "fork", "join",
+                                  "outtree", "intree", "sp", "general"}) {
+    for (const bool two_procs : {false, true}) {
+      for (const double p_static : {0.0, 0.3}) {
+        for (const auto leakage :
+             {rc::LeakageMode::kReduction, rc::LeakageMode::kExact}) {
+          for (const double s_min : {0.0, 0.8}) {
+            SCOPED_TRACE(shape + (two_procs ? " two-proc" : " homogeneous") +
+                         " P_stat " + std::to_string(p_static) +
+                         (leakage == rc::LeakageMode::kExact ? " exact"
+                                                             : " reduction") +
+                         " s_min " + std::to_string(s_min));
+            rc::SolveOptions options;
+            options.leakage = leakage;
+            options.continuous_s_min = s_min;
+            const bool exact_a_priori =
+                leakage == rc::LeakageMode::kReduction || p_static == 0.0 ||
+                shape == "single" || (shape == "chain" && !two_procs);
+            ru::Rng rng(239);
+            for (const double slack : {3.0, 1.5, 1.02}) {
+              SCOPED_TRACE("slack " + std::to_string(slack));
+              rg::Digraph g = agreement_graph(shape, rng);
+              const double d =
+                  g.num_nodes() == 0 ? 1.0 : slack * rc::min_deadline(g, 1.2);
+              const rm::PowerModel power = rm::make_power_model(3.0, p_static);
+              std::vector<std::size_t> assignment(g.num_nodes());
+              for (std::size_t v = 0; v < assignment.size(); ++v) {
+                assignment[v] = v % 2;
+              }
+              const rc::Instance instance =
+                  two_procs ? rc::make_instance(
+                                  std::move(g), d,
+                                  rm::Platform({{power, 2.0}, {power, 1.2}}),
+                                  assignment)
+                            : rc::make_instance(std::move(g), d, power);
+
+              const rc::Solution reference = rc::solve(instance, cont, options);
+              const auto plan = rc::plan_kernel(instance, cont, options);
+              rc::Solution kernel;
+              if (plan) {
+                const rc::Instance* const ptr = &instance;
+                rc::solve_kernel_run(*plan, &ptr, 1, &kernel);
+              }
+              if (!kernel.method.empty()) expect_identical(kernel, reference);
+              const bool closed_form =
+                  std::find(closed_forms.begin(), closed_forms.end(),
+                            reference.method) != closed_forms.end();
+              if (closed_form && exact_a_priori) {
+                EXPECT_TRUE(plan.has_value()) << reference.method;
+                EXPECT_FALSE(kernel.method.empty()) << reference.method;
+                ++checked;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 100u);
 }

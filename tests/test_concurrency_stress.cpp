@@ -19,6 +19,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <future>
 #include <iterator>
 #include <map>
 #include <string>
@@ -318,7 +319,11 @@ TEST(ConcurrencyStress, ThreadPoolChurn) {
       for (int i = 0; i < 64; ++i) {
         (void)pool.submit([&] { counter.fetch_add(1); });
       }
-      pool.parallel_for(0, 64, [&](std::size_t) { counter.fetch_add(1); });
+      std::vector<std::future<void>> waited;
+      for (int i = 0; i < 64; ++i) {
+        waited.push_back(pool.submit([&] { counter.fetch_add(1); }));
+      }
+      for (auto& f : waited) f.get();
     }  // destructor drains the queue before joining
     EXPECT_EQ(counter.load(), 128);
   }

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "opt/barrier.hpp"
-#include "opt/roots.hpp"
 #include "opt/simplex.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -313,24 +312,3 @@ TEST(Barrier, GapCertifiesTheObjective) {
   }
 }
 
-TEST(Roots, FindsSimpleRoot) {
-  const auto f = [](double x) { return x * x - 2.0; };
-  const double root = ro::find_root(f, 0.0, 2.0);
-  EXPECT_NEAR(root, std::sqrt(2.0), 1e-10);
-}
-
-TEST(Roots, EndpointRoots) {
-  const auto f = [](double x) { return x; };
-  EXPECT_DOUBLE_EQ(ro::find_root(f, 0.0, 1.0), 0.0);
-  EXPECT_DOUBLE_EQ(ro::find_root(f, -1.0, 0.0), 0.0);
-}
-
-TEST(Roots, RequiresSignChange) {
-  const auto f = [](double x) { return x * x + 1.0; };
-  EXPECT_THROW((void)ro::find_root(f, -1.0, 1.0), reclaim::InvalidArgument);
-}
-
-TEST(Roots, MonotoneDecreasing) {
-  const auto f = [](double x) { return 1.0 - std::exp(x); };
-  EXPECT_NEAR(ro::find_root(f, -2.0, 2.0), 0.0, 1e-10);
-}
