@@ -117,38 +117,59 @@ std::string topology_key(const graph::Digraph& g) {
   return key;
 }
 
-std::string instance_key(const core::Instance& instance,
+void encode_instance_key(std::string& out, const core::Instance& instance,
+                         const sched::Mapping* mapping,
                          const model::EnergyModel& model,
                          const core::SolveOptions& options) {
   const auto& g = instance.exec_graph;
-  std::string key;
-  key.reserve(64 + 8 * g.num_nodes() + 16 * g.num_edges());
-  put_topology(key, g);
-  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) put_double(key, g.weight(v));
-  put_double(key, instance.deadline);
-  put_platform(key, instance);
-  put_model(key, model);
-  put_u64(key, options.exact_discrete_up_to);
-  put_double(key, options.rel_gap);
-  put_double(key, options.continuous_s_min);
+  out.clear();
+  out.reserve(64 + 8 * g.num_nodes() + 16 * g.num_edges());
+  put_topology(out, g);
+  for (graph::NodeId v = 0; v < g.num_nodes(); ++v) {
+    put_double(out, g.weight(v));
+  }
+  put_double(out, instance.deadline);
+  put_platform(out, instance);
+  put_model(out, model);
+  put_u64(out, options.exact_discrete_up_to);
+  put_double(out, options.rel_gap);
+  put_double(out, options.continuous_s_min);
   // One byte per leakage mode: Exact and Reduction answers differ whenever
   // the reduction is suboptimal, so aliasing them would serve the wrong
   // cached solution (docs/architecture.md, "Memo-key fields").
-  key.push_back(options.leakage == core::LeakageMode::kExact ? 'X' : 'R');
+  out.push_back(options.leakage == core::LeakageMode::kExact ? 'X' : 'R');
   // One byte per sleep_mode: race, joint and DP answers differ on
   // sleep-enabled instances, so aliasing them would serve the wrong
   // cached solution (docs/architecture.md, "Memo-key fields").
   switch (options.sleep_mode) {
     case core::SleepMode::kJoint:
-      key.push_back('J');
+      out.push_back('J');
       break;
     case core::SleepMode::kDp:
-      key.push_back('P');
+      out.push_back('P');
       break;
     case core::SleepMode::kRace:
-      key.push_back('R');
+      out.push_back('R');
       break;
   }
+  if (mapping == nullptr) return;
+  // The ordered lists, not just the assignment: idle-gap enumeration (and
+  // hence the race-to-idle objective) depends on the execution order of
+  // each processor's tasks.
+  out.push_back('M');
+  put_u64(out, mapping->num_processors());
+  for (std::size_t p = 0; p < mapping->num_processors(); ++p) {
+    const auto& tasks = mapping->tasks_on(p);
+    put_u64(out, tasks.size());
+    for (graph::NodeId v : tasks) put_u64(out, v);
+  }
+}
+
+std::string instance_key(const core::Instance& instance,
+                         const model::EnergyModel& model,
+                         const core::SolveOptions& options) {
+  std::string key;
+  encode_instance_key(key, instance, nullptr, model, options);
   return key;
 }
 
@@ -156,17 +177,8 @@ std::string mapped_instance_key(const core::Instance& instance,
                                 const sched::Mapping& mapping,
                                 const model::EnergyModel& model,
                                 const core::SolveOptions& options) {
-  std::string key = instance_key(instance, model, options);
-  // The ordered lists, not just the assignment: idle-gap enumeration (and
-  // hence the race-to-idle objective) depends on the execution order of
-  // each processor's tasks.
-  key.push_back('M');
-  put_u64(key, mapping.num_processors());
-  for (std::size_t p = 0; p < mapping.num_processors(); ++p) {
-    const auto& tasks = mapping.tasks_on(p);
-    put_u64(key, tasks.size());
-    for (graph::NodeId v : tasks) put_u64(key, v);
-  }
+  std::string key;
+  encode_instance_key(key, instance, &mapping, model, options);
   return key;
 }
 

@@ -44,9 +44,18 @@ namespace reclaim::engine {
 
 /// Canonical encoding of everything that determines a mapped (race-to-idle
 /// routed) solve's answer: instance_key plus the mapping's ordered lists.
-[[nodiscard]] std::string mapped_instance_key(const core::Instance& instance,
-                                              const sched::Mapping& mapping,
-                                              const model::EnergyModel& model,
-                                              const core::SolveOptions& options);
+[[nodiscard]] std::string mapped_instance_key(
+    const core::Instance& instance, const sched::Mapping& mapping,
+    const model::EnergyModel& model, const core::SolveOptions& options);
+
+/// Clears `out`, then writes into it the bytes instance_key returns, or
+/// mapped_instance_key's when `mapping` is not null. The engine encodes
+/// every memo key into one reused buffer per thread this way instead of
+/// allocating a string per solve; since `out` is cleared first, a throw
+/// (NaN field) part-way through leaves nothing a later key could pick up.
+void encode_instance_key(std::string& out, const core::Instance& instance,
+                         const sched::Mapping* mapping,
+                         const model::EnergyModel& model,
+                         const core::SolveOptions& options);
 
 }  // namespace reclaim::engine

@@ -71,12 +71,15 @@ core::Solution ReclaimEngine::solve_routed(const core::Instance& instance,
     mapping = nullptr;
   }
 
-  std::string key;
+  // The key is encoded into this thread's buffer, reused across solves
+  // (no solve on this thread can start before this one stores its key),
+  // and hashed once for both the probe and the store.
+  thread_local std::string key;
+  std::uint64_t hash = 0;
   if (options_.memoize) {
-    key = mapping != nullptr
-              ? mapped_instance_key(instance, *mapping, model, options)
-              : instance_key(instance, model, options);
-    if (auto cached = memo_.get(key)) {
+    encode_instance_key(key, instance, mapping, model, options);
+    hash = SolutionCache::hash_of(key);
+    if (auto cached = memo_.get(key, hash)) {
       memo_hits_.fetch_add(1, std::memory_order_relaxed);
       return *std::move(cached);
     }
@@ -116,7 +119,7 @@ core::Solution ReclaimEngine::solve_routed(const core::Instance& instance,
     // Two workers may race on the same key; both computed the identical
     // deterministic solution, so the cache keeps first-in harmlessly and
     // evicts from the LRU end when the entry/byte caps are exceeded.
-    memo_.put(key, solution);
+    memo_.put(key, hash, solution);
   }
   return solution;
 }
@@ -320,7 +323,8 @@ core::Solution ReclaimEngine::solve_one(const MappedInstance& instance,
 }
 
 void ReclaimEngine::submit(
-    MappedInstance instance, model::EnergyModel model, core::SolveOptions options,
+    MappedInstance instance, model::EnergyModel model,
+    core::SolveOptions options,
     std::function<void(core::Solution, std::exception_ptr)> done) {
   // Owning copies by value: the request outlives the caller's stack frame
   // (a daemon's reader thread has long moved on when a worker picks this

@@ -33,7 +33,11 @@
 //     because every solver is deterministic. The memo is an LRU cache
 //     under entry and byte caps (engine/solution_cache.hpp), so one
 //     engine can live for days under a solve daemon (tools/reclaim_serve)
-//     and be shared by every client that connects.
+//     and be shared by every client that connects. A miss costs one key
+//     encode into a reused per-thread buffer, one hash shared by the
+//     probe and the store, one probe of an open-addressing index, and one
+//     allocation: the entry is a single block holding its LRU links, the
+//     Solution and the key bytes.
 //
 // Results are deterministic regardless of thread count: output slot i
 // always holds the solution of instance i, and routing depends only on
@@ -156,8 +160,8 @@ class ReclaimEngine {
   /// solution of instances[i]. Rethrows the first exception raised by a
   /// poisoned instance after aborting the remaining work.
   [[nodiscard]] std::vector<core::Solution> solve_batch(
-      std::span<const core::Instance> instances, const model::EnergyModel& model,
-      const core::SolveOptions& options = {});
+      std::span<const core::Instance> instances,
+      const model::EnergyModel& model, const core::SolveOptions& options = {});
 
   /// Mapped batch: same sharding/caching, with each instance's mapping
   /// handed to core::solve. Where core::prices_mapping holds (continuous
@@ -167,19 +171,19 @@ class ReclaimEngine {
   /// EngineStats reports the crawl / raced / joint split of the fresh
   /// mapping-priced solves.
   [[nodiscard]] std::vector<core::Solution> solve_batch(
-      std::span<const MappedInstance> instances, const model::EnergyModel& model,
-      const core::SolveOptions& options = {});
+      std::span<const MappedInstance> instances,
+      const model::EnergyModel& model, const core::SolveOptions& options = {});
 
   /// Single-instance convenience: goes through the same caches.
-  [[nodiscard]] core::Solution solve_one(const core::Instance& instance,
-                                         const model::EnergyModel& model,
-                                         const core::SolveOptions& options = {});
+  [[nodiscard]] core::Solution solve_one(
+      const core::Instance& instance, const model::EnergyModel& model,
+      const core::SolveOptions& options = {});
 
   /// Mapped single-instance convenience: the per-instance route of the
   /// mapped solve_batch.
-  [[nodiscard]] core::Solution solve_one(const MappedInstance& instance,
-                                         const model::EnergyModel& model,
-                                         const core::SolveOptions& options = {});
+  [[nodiscard]] core::Solution solve_one(
+      const MappedInstance& instance, const model::EnergyModel& model,
+      const core::SolveOptions& options = {});
 
   /// Asynchronous single-instance solve — the serve daemon's per-request
   /// entry point. The solve runs on the engine's pool (inline on the

@@ -9,9 +9,23 @@
 // evictions, age of the coldest entry) that the daemon's STATS endpoint
 // samples live — see docs/architecture.md ("Long-lived caches").
 //
+// Layout: a sweep's memo misses far more often than it hits, so a miss
+// must cost little. Each entry is one heap block: a header (the key's
+// hash, its byte charge, its touch time, the intrusive LRU links and the
+// Solution's scalars) followed by the Solution's speeds, profiles and
+// method name, then the key bytes. An insert is one allocation and an
+// eviction one free. The index is an open-addressing table (linear
+// probing, at most half full) whose slots hold an entry pointer and its
+// hash. A probe compares the stored hash first and then the full key
+// bytes, so a hash collision can never alias two answers; deletion
+// shifts the rest of the probe chain back, so there are no tombstones.
+// Callers that look a key up and then store it (the engine's miss path)
+// hash it once with hash_of and pass the hash to both get and put.
+//
 // Thread safety: every operation takes the internal mutex (a hit mutates
 // the recency list, so even lookups are writes). Critical sections are
-// O(1) and tiny; the solvers the cache fronts are micro- to milliseconds,
+// O(1) and tiny — a put builds its entry and frees its victims outside
+// the lock; the solvers the cache fronts are micro- to milliseconds,
 // so the lock is never the bottleneck. The guarded fields are annotated
 // (util/annotated_mutex.hpp), so Clang's -Wthread-safety proves every
 // access really is under the lock.
@@ -20,11 +34,9 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <list>
 #include <optional>
-#include <string>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 #include "core/problem.hpp"
 #include "util/annotated_mutex.hpp"
@@ -42,7 +54,10 @@ struct CacheLimits {
 /// internally consistent even while solves are in flight.
 struct CacheStats {
   std::size_t entries = 0;
-  std::size_t bytes = 0;  ///< estimated footprint of keys + solutions
+  /// Estimated footprint: per entry its block (header, the Solution's
+  /// arrays and method name, key bytes), its index slots and a per-block
+  /// allocator overhead.
+  std::size_t bytes = 0;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t insertions = 0;
@@ -61,16 +76,33 @@ struct CacheStats {
 class SolutionCache {
  public:
   explicit SolutionCache(CacheLimits limits = {});
+  ~SolutionCache();
+
+  SolutionCache(const SolutionCache&) = delete;
+  SolutionCache& operator=(const SolutionCache&) = delete;
+
+  /// The hash get and put use for `key`.
+  [[nodiscard]] static std::uint64_t hash_of(std::string_view key) noexcept;
 
   /// The cached solution for `key`, refreshing its recency; nullopt on
-  /// miss. Counts a hit or a miss either way.
-  [[nodiscard]] std::optional<core::Solution> get(const std::string& key);
+  /// miss. Counts a hit or a miss either way. `hash` must be
+  /// hash_of(key).
+  [[nodiscard]] std::optional<core::Solution> get(std::string_view key,
+                                                  std::uint64_t hash);
+  [[nodiscard]] std::optional<core::Solution> get(std::string_view key) {
+    return get(key, hash_of(key));
+  }
 
   /// Inserts (or refreshes) key -> solution, then evicts from the cold
   /// end until both caps hold again. An entry larger than max_bytes by
   /// itself is still admitted alone — the caller already paid for the
-  /// solve, and it will be the first evicted.
-  void put(const std::string& key, const core::Solution& solution);
+  /// solve, and it will be the first evicted. `hash` must be
+  /// hash_of(key).
+  void put(std::string_view key, std::uint64_t hash,
+           const core::Solution& solution);
+  void put(std::string_view key, const core::Solution& solution) {
+    put(key, hash_of(key), solution);
+  }
 
   /// Drops every entry and resets the counters.
   void clear();
@@ -79,25 +111,37 @@ class SolutionCache {
 
  private:
   using Clock = std::chrono::steady_clock;
-
-  struct Node {
-    std::string key;
-    core::Solution solution;
-    std::size_t bytes = 0;
-    Clock::time_point touched{};
+  struct Entry;
+  /// An index slot: an entry and its key's hash (entry null when empty),
+  /// so a probe compares hashes without touching the entries.
+  struct Slot {
+    std::uint64_t hash = 0;
+    Entry* entry = nullptr;
   };
-  using LruList = std::list<Node>;  // front = hottest, back = next to evict
 
-  static std::size_t entry_bytes(const Node& node);
-  void evict_to_limits_locked() RECLAIM_REQUIRES(mutex_);
+  /// The slot holding the entry for (key, hash), or else the empty slot
+  /// where it would go.
+  [[nodiscard]] std::size_t find_slot_locked(std::string_view key,
+                                             std::uint64_t hash) const
+      RECLAIM_REQUIRES(mutex_);
+  /// Doubles the index (16 slots at first) and re-homes every entry.
+  void grow_locked() RECLAIM_REQUIRES(mutex_);
+  void erase_slot_locked(const Entry* entry) RECLAIM_REQUIRES(mutex_);
+  void link_front_locked(Entry* entry) RECLAIM_REQUIRES(mutex_);
+  void unlink_locked(Entry* entry) RECLAIM_REQUIRES(mutex_);
+  void touch_locked(Entry* entry) RECLAIM_REQUIRES(mutex_);
+  /// Unlinks cold entries until both caps hold (never the last one) and
+  /// returns them chained, for freeing after the lock.
+  [[nodiscard]] Entry* evict_to_limits_locked() RECLAIM_REQUIRES(mutex_);
 
   CacheLimits limits_;
   mutable util::Mutex mutex_;
-  LruList lru_ RECLAIM_GUARDED_BY(mutex_);
-  /// Views into the list nodes' own keys; list nodes never relocate, so
-  /// the views stay valid until the node is erased.
-  std::unordered_map<std::string_view, LruList::iterator> index_
-      RECLAIM_GUARDED_BY(mutex_);
+  /// Open-addressing index: a power-of-two number of slots (or none),
+  /// null when empty, never more than half full.
+  std::vector<Slot> slots_ RECLAIM_GUARDED_BY(mutex_);
+  Entry* hottest_ RECLAIM_GUARDED_BY(mutex_) = nullptr;
+  Entry* coldest_ RECLAIM_GUARDED_BY(mutex_) = nullptr;  ///< next victim
+  std::size_t entries_ RECLAIM_GUARDED_BY(mutex_) = 0;
   std::size_t bytes_ RECLAIM_GUARDED_BY(mutex_) = 0;
   std::uint64_t hits_ RECLAIM_GUARDED_BY(mutex_) = 0;
   std::uint64_t misses_ RECLAIM_GUARDED_BY(mutex_) = 0;

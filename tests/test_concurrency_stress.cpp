@@ -261,25 +261,40 @@ TEST(ConcurrencyStress, MixedTrafficUnderEvictionIsBitIdentical) {
 }
 
 TEST(ConcurrencyStress, SolutionCacheHammer) {
-  re::SolutionCache cache(re::CacheLimits{/*max_entries=*/16,
-                                          /*max_bytes=*/0});
+  constexpr std::size_t kMaxEntries = 16;
+  constexpr std::size_t kMaxBytes = 6000;
+  re::SolutionCache cache(re::CacheLimits{kMaxEntries, kMaxBytes});
   constexpr int kThreads = 4;
   constexpr int kOps = 4000;
   constexpr int kKeys = 64;  // 4x the entry cap: steady-state eviction
 
-  rc::Solution solution;
-  solution.feasible = true;
-  solution.energy = 1.0;
-  solution.speeds = {1.0, 2.0, 3.0};
-  solution.method = "stress";
+  // Keys of mixed lengths (empty, short, instance-key sized) that differ
+  // only in their last bytes: the byte cap binds whenever long keys pile
+  // up, so evictions (and the index's backward-shift deletions) come
+  // from both caps. Each key has its own answer, so a hit that returned
+  // another key's entry would show.
+  std::vector<std::string> keys;
+  std::vector<rc::Solution> answers;
+  constexpr std::size_t kPads[] = {0, 8, 400, 400};
+  for (int k = 0; k < kKeys; ++k) {
+    keys.push_back(k == 0 ? std::string()
+                          : std::string(kPads[k % 4], 'k') + std::to_string(k));
+    rc::Solution solution;
+    solution.feasible = true;
+    solution.energy = static_cast<double>(k);
+    solution.speeds.assign(1 + k % 5, 1.0);
+    solution.method = "stress-" + std::to_string(k);
+    answers.push_back(std::move(solution));
+  }
 
   std::atomic<bool> stop{false};
   std::thread sampler([&] {
     // Stats samples race against every get/put: the snapshot must stay
-    // internally consistent (entries within cap, hits+misses = lookups).
+    // internally consistent (both caps hold unless one entry is left).
     while (!stop.load(std::memory_order_relaxed)) {
       const re::CacheStats s = cache.stats();
-      EXPECT_LE(s.entries, 16u);
+      EXPECT_LE(s.entries, kMaxEntries);
+      EXPECT_TRUE(s.bytes <= kMaxBytes || s.entries == 1);
       std::this_thread::yield();
     }
   });
@@ -289,12 +304,12 @@ TEST(ConcurrencyStress, SolutionCacheHammer) {
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
       for (int i = 0; i < kOps; ++i) {
-        const std::string key =
-            "key-" + std::to_string((i * (t + 1)) % kKeys);
-        if (const auto hit = cache.get(key)) {
-          EXPECT_EQ(hit->method, "stress");
+        const int k = (i * (t + 1)) % kKeys;
+        if (const auto hit = cache.get(keys[k])) {
+          EXPECT_EQ(hit->method, answers[k].method);
+          EXPECT_EQ(hit->speeds.size(), answers[k].speeds.size());
         } else {
-          cache.put(key, solution);
+          cache.put(keys[k], answers[k]);
         }
       }
     });
@@ -304,9 +319,16 @@ TEST(ConcurrencyStress, SolutionCacheHammer) {
   sampler.join();
 
   const re::CacheStats s = cache.stats();
-  EXPECT_LE(s.entries, 16u);
+  EXPECT_LE(s.entries, kMaxEntries);
+  EXPECT_TRUE(s.bytes <= kMaxBytes || s.entries == 1);
   EXPECT_EQ(s.hits + s.misses, kThreads * static_cast<std::uint64_t>(kOps));
   EXPECT_GT(s.evictions, 0u);
+  // Every resident key still answers its own solution.
+  for (int k = 0; k < kKeys; ++k) {
+    if (const auto hit = cache.get(keys[k])) {
+      EXPECT_EQ(hit->method, answers[k].method);
+    }
+  }
 }
 
 TEST(ConcurrencyStress, ThreadPoolChurn) {

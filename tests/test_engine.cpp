@@ -1,13 +1,17 @@
 // ReclaimEngine tests: batch/single-shot parity, determinism across thread
 // counts, memo and dispatch-cache behavior, and exception propagation from
-// a poisoned instance mid-batch.
+// a poisoned instance mid-batch; SolutionCache against a reference LRU.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <future>
 #include <limits>
+#include <list>
+#include <map>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/analysis.hpp"
@@ -17,6 +21,8 @@
 #include "engine/reclaim_engine.hpp"
 #include "graph/generators.hpp"
 #include "model/energy_model.hpp"
+#include "model/platform.hpp"
+#include "sched/execution_graph.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -24,6 +30,7 @@ namespace rc = reclaim::core;
 namespace re = reclaim::engine;
 namespace rg = reclaim::graph;
 namespace rm = reclaim::model;
+namespace rs = reclaim::sched;
 
 namespace {
 
@@ -522,4 +529,286 @@ TEST(ReclaimEngine, EmptyBatchAndClearCaches) {
   const auto again = engine.solve_batch(instances, rm::ContinuousModel{2.0});
   ASSERT_EQ(again.size(), instances.size());
   for (const auto& s : again) EXPECT_TRUE(s.feasible);
+}
+
+namespace {
+
+/// The LRU the SolutionCache must behave like, written the obvious way
+/// (a std::list in recency order and a std::map index). Each entry's
+/// byte charge is supplied by the caller.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(re::CacheLimits limits) : limits_(limits) {}
+
+  std::optional<rc::Solution> get(const std::string& key) {
+    const auto it = index_.find(key);
+    if (it == index_.end()) {
+      ++stats_.misses;
+      return std::nullopt;
+    }
+    ++stats_.hits;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return it->second->solution;
+  }
+
+  void put(const std::string& key, const rc::Solution& solution,
+           std::size_t charge) {
+    if (const auto it = index_.find(key); it != index_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second);  // first answer stays
+      return;
+    }
+    lru_.push_front({key, solution, charge});
+    index_.emplace(key, lru_.begin());
+    stats_.bytes += charge;
+    ++stats_.insertions;
+    while (lru_.size() > 1 &&
+           ((limits_.max_entries != 0 && lru_.size() > limits_.max_entries) ||
+            (limits_.max_bytes != 0 && stats_.bytes > limits_.max_bytes))) {
+      stats_.bytes -= lru_.back().charge;
+      index_.erase(lru_.back().key);
+      lru_.pop_back();
+      ++stats_.evictions;
+    }
+    stats_.entries = lru_.size();
+  }
+
+  void clear() {
+    lru_.clear();
+    index_.clear();
+    stats_ = {};
+  }
+
+  [[nodiscard]] const re::CacheStats& stats() const { return stats_; }
+
+ private:
+  struct Node {
+    std::string key;
+    rc::Solution solution;
+    std::size_t charge;
+  };
+  re::CacheLimits limits_;
+  std::list<Node> lru_;
+  std::map<std::string, std::list<Node>::iterator> index_;
+  re::CacheStats stats_;
+};
+
+/// What an empty, uncapped cache charges for one entry.
+std::size_t charge_of(const std::string& key, const rc::Solution& solution) {
+  re::SolutionCache probe;
+  probe.put(key, solution);
+  return probe.stats().bytes;
+}
+
+/// Keys that stress the index: the empty key, groups that differ only in
+/// their last byte (at three lengths, up to the size of a real instance
+/// key), and many equal-length keys.
+std::vector<std::string> differential_keys() {
+  std::vector<std::string> keys{""};
+  for (const std::size_t length : {1, 24, 400}) {
+    for (char last = 'a'; last < 'a' + 8; ++last) {
+      std::string key(length - 1, 'k');
+      key.push_back(last);
+      keys.push_back(std::move(key));
+    }
+  }
+  for (int i = 0; i < 160; ++i) {
+    std::string key = "key-" + std::to_string(1000 + i);  // all 8 bytes
+    keys.push_back(std::move(key));
+  }
+  return keys;
+}
+
+}  // namespace
+
+TEST(SolutionCache, ChargesTheKeyBytesAndTheSolutionHeap) {
+  rc::Solution solution;
+  solution.method = "closed-form-single";
+  solution.speeds = {1.0, 2.0};
+  const std::size_t base = charge_of("key", solution);
+  EXPECT_EQ(charge_of("key+", solution), base + 1);
+  solution.speeds.push_back(3.0);
+  EXPECT_EQ(charge_of("key", solution), base + sizeof(double));
+}
+
+TEST(SolutionCache, MatchesReferenceLruUnderEveryCap) {
+  const std::vector<std::string> keys = differential_keys();
+  // Distinct answers with different heap footprints, so the byte charge
+  // varies per entry and a wrong answer cannot pass for a right one.
+  std::vector<rc::Solution> answers(7);
+  for (std::size_t a = 0; a < answers.size(); ++a) {
+    answers[a].feasible = a % 2 == 0;
+    answers[a].energy = 1.0 + static_cast<double>(a);
+    answers[a].iterations = 7 * a;
+    answers[a].speeds.assign(a * 3, 0.5 * static_cast<double>(a));
+    answers[a].method = std::string(a * 5, 'm');
+    // Profiles of uneven lengths (some empty), as Vdd answers carry.
+    answers[a].profiles.resize(a % 3 == 0 ? 0 : a);
+    for (std::size_t p = 0; p < answers[a].profiles.size(); ++p) {
+      for (std::size_t g = 0; g < p % 3; ++g) {
+        answers[a].profiles[p].segments.push_back(
+            {0.25 * static_cast<double>(a + g), 1.0 + static_cast<double>(p)});
+      }
+    }
+  }
+  std::map<std::pair<std::size_t, std::size_t>, std::size_t> charges;
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    for (std::size_t a = 0; a < answers.size(); ++a) {
+      charges[{k, a}] = charge_of(keys[k], answers[a]);
+    }
+  }
+  std::size_t mean_charge = 0;
+  for (const auto& [ka, charge] : charges) mean_charge += charge;
+  mean_charge /= charges.size();
+
+  // Uncapped, the whole key space fits (the index grows from 16 slots to
+  // 512). Capped at 40-100 entries of ~200, the cache runs full with the
+  // index between a quarter and half loaded, so LRU victims leave holes
+  // in the middle of probe chains.
+  const std::vector<re::CacheLimits> limit_sets = {
+      {0, 0},
+      {100, 0},
+      {0, 40 * mean_charge},
+      {70, 50 * mean_charge},
+      {1, 0},
+      {0, 1},  // every entry exceeds the cap: the sole entry stays
+  };
+  for (const re::CacheLimits& limits : limit_sets) {
+    SCOPED_TRACE("max_entries " + std::to_string(limits.max_entries) +
+                 ", max_bytes " + std::to_string(limits.max_bytes));
+    re::SolutionCache cache(limits);
+    ReferenceLru reference(limits);
+    reclaim::util::Rng rng(2024 + limits.max_entries + limits.max_bytes);
+    // One answer per key for the whole run, as the engine's memo sees.
+    std::vector<std::size_t> answer_of(keys.size());
+    for (auto& a : answer_of) {
+      a = static_cast<std::size_t>(rng.uniform_int(0, 6));
+    }
+    std::uint64_t evictions = 0;  // over the clears
+    for (int op = 0; op < 20000; ++op) {
+      const auto k = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(keys.size()) - 1));
+      const std::string& key = keys[k];
+      const double dice = rng.uniform();
+      if (dice < 0.0002) {
+        evictions += cache.stats().evictions;
+        cache.clear();
+        reference.clear();
+      } else if (dice < 0.5) {
+        const auto got = rng.bernoulli(0.5)
+                             ? cache.get(key)
+                             : cache.get(key, re::SolutionCache::hash_of(key));
+        const auto want = reference.get(key);
+        ASSERT_EQ(got.has_value(), want.has_value()) << "op " << op;
+        if (got) {
+          expect_identical(*got, *want);
+          ASSERT_EQ(got->iterations, want->iterations);
+          ASSERT_EQ(got->feasible, answers[answer_of[k]].feasible);
+          ASSERT_EQ(got->energy, answers[answer_of[k]].energy);
+        }
+      } else {
+        const rc::Solution& answer = answers[answer_of[k]];
+        if (rng.bernoulli(0.5)) {
+          cache.put(key, answer);
+        } else {
+          cache.put(key, re::SolutionCache::hash_of(key), answer);
+        }
+        reference.put(key, answer, charges[{k, answer_of[k]}]);
+      }
+      const re::CacheStats got = cache.stats();
+      const re::CacheStats& want = reference.stats();
+      ASSERT_EQ(got.entries, want.entries) << "op " << op;
+      ASSERT_EQ(got.bytes, want.bytes) << "op " << op;
+      ASSERT_EQ(got.hits, want.hits) << "op " << op;
+      ASSERT_EQ(got.misses, want.misses) << "op " << op;
+      ASSERT_EQ(got.insertions, want.insertions) << "op " << op;
+      ASSERT_EQ(got.evictions, want.evictions) << "op " << op;
+    }
+    if (limits.max_entries == 0 && limits.max_bytes == 0) {
+      EXPECT_GT(cache.stats().entries, 150u);  // grew well past 16 slots
+    } else {
+      EXPECT_GT(evictions + cache.stats().evictions, 1000u);
+    }
+  }
+}
+
+namespace {
+
+/// A two-processor instance on a sleep-enabled platform (the race-to-idle
+/// route prices its mapping), with task B before or after task C on
+/// processor 1.
+re::MappedInstance sleep_instance(double deadline, bool b_first) {
+  rg::Digraph app;
+  const auto a = app.add_node(1.0, "A");
+  const auto b = app.add_node(2.0, "B");
+  const auto c = app.add_node(0.5, "C");
+  app.add_edge(a, c);
+  rs::Mapping mapping(2);
+  mapping.assign(0, a);
+  mapping.assign(1, b_first ? b : c);
+  mapping.assign(1, b_first ? c : b);
+  const auto power = rm::PowerModel(rm::StaticPowerLaw(3.0, 2.0))
+                         .with_sleep(rm::make_sleep_spec(3.0, 0.0, 6.0));
+  return {rc::make_instance(rs::build_execution_graph(app, mapping), deadline,
+                            rm::Platform::uniform(2, power), mapping),
+          mapping};
+}
+
+}  // namespace
+
+TEST(ReclaimEngine, ReusedKeyBufferHitsAsFreshKeysWould) {
+  // One thread: every solve encodes its key into the same buffer. Plain
+  // and mapped solves alternate (a plain key is a prefix of its mapped
+  // key), and some solves throw part-way through encoding; the memo must
+  // hit exactly when a fresh instance_key / mapped_instance_key string
+  // was seen before, and answer what was first solved under it.
+  const rm::EnergyModel cont = rm::ContinuousModel{2.0};
+  const rc::SolveOptions opts;
+  rc::SolveOptions poisoned;
+  poisoned.rel_gap = std::numeric_limits<double>::quiet_NaN();
+  std::vector<re::MappedInstance> instances;
+  for (const double deadline : {6.0, 7.5, 9.0}) {
+    for (const bool b_first : {true, false}) {
+      instances.push_back(sleep_instance(deadline, b_first));
+    }
+  }
+  re::EngineOptions engine_options;
+  engine_options.threads = 1;
+  re::ReclaimEngine engine(engine_options);
+  std::map<std::string, rc::Solution> seen;
+  reclaim::util::Rng rng(31);
+  std::size_t hits = 0;
+  std::size_t throws = 0;
+  for (int step = 0; step < 120; ++step) {
+    const auto& m = instances[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(instances.size()) - 1))];
+    const bool mapped = step % 2 == 1;
+    if (rng.bernoulli(0.2)) {
+      ++throws;
+      if (mapped) {
+        EXPECT_THROW((void)engine.solve_one(m, cont, poisoned),
+                     reclaim::InvalidArgument);
+      } else {
+        EXPECT_THROW((void)engine.solve_one(m.instance, cont, poisoned),
+                     reclaim::InvalidArgument);
+      }
+    }
+    const std::string key =
+        mapped ? re::mapped_instance_key(m.instance, m.mapping, cont, opts)
+               : re::instance_key(m.instance, cont, opts);
+    const auto before = engine.stats();
+    const rc::Solution answer =
+        mapped ? engine.solve_one(m, cont, opts)
+               : engine.solve_one(m.instance, cont, opts);
+    const auto after = engine.stats();
+    const auto [it, fresh] = seen.emplace(key, answer);
+    SCOPED_TRACE("step " + std::to_string(step));
+    EXPECT_EQ(after.memo_hits - before.memo_hits, fresh ? 0u : 1u);
+    EXPECT_EQ(after.fresh_solves - before.fresh_solves, fresh ? 1u : 0u);
+    expect_identical(answer, it->second);
+    hits += fresh ? 0 : 1;
+  }
+  EXPECT_EQ(engine.stats().memo_entries, seen.size());
+  EXPECT_EQ(seen.size(), 2 * instances.size());  // plain and mapped keys
+  EXPECT_GT(hits, 60u);
+  EXPECT_GT(throws, 10u);
 }
