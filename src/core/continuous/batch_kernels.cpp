@@ -443,7 +443,7 @@ std::optional<KernelPlan> plan_reduction(
   const auto& power = instance.power_of(0);
   plan.s_max = std::min(continuous.s_max, instance.cap_of(0));
   if (s_min > plan.s_max) {
-    return std::nullopt;  // collapsed speed range: solve_continuous's case
+    return std::nullopt;  // s_min above the cap: solve_numeric's case
   }
   // The s_crit reduction (DESIGN.md): the floor is raised to s_crit,
   // capped at s_max (beyond the cap the cheapest admissible speed is

@@ -43,7 +43,10 @@
 namespace reclaim::core {
 
 struct ContinuousOptions {
-  double s_min = 0.0;      ///< optional speed floor (Theorem 5 relaxation)
+  /// Optional speed floor (Theorem 5 relaxation). Above a processor's cap
+  /// the instance is infeasible; above the model's s_max the numeric
+  /// route throws InvalidArgument.
+  double s_min = 0.0;
   double rel_gap = 1e-9;   ///< numeric-solver duality gap
   bool force_numeric = false;  ///< bypass closed forms (for cross-checks)
   /// Leakage handling: the s_crit reduction (default), or the exact

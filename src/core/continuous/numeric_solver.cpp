@@ -90,81 +90,63 @@ class EnergyObjective final : public opt::ConvexObjective {
 
 }  // namespace
 
+bool effective_bounds(const Instance& instance,
+                      const model::ContinuousModel& model, double s_min,
+                      std::vector<double>& caps, std::vector<double>& floors) {
+  const auto& g = instance.exec_graph;
+  const std::size_t n = g.num_nodes();
+  caps.assign(n, model.s_max);
+  floors.assign(n, 0.0);
+  for (graph::NodeId v = 0; v < n; ++v) {
+    caps[v] = std::min(model.s_max, instance.cap_of(v));
+    if (g.weight(v) == 0.0) continue;
+    if (s_min > caps[v]) return false;
+    floors[v] = std::max(
+        s_min, std::min(instance.power_of(v).critical_speed(), caps[v]));
+  }
+  return true;
+}
+
 Solution solve_numeric(const Instance& instance,
                        const model::ContinuousModel& model,
                        const NumericOptions& options) {
   const auto& g = instance.exec_graph;
   const std::size_t n = g.num_nodes();
   const double deadline = instance.deadline;
-  const double s_min = options.s_min;
-  const bool heterogeneous = !options.s_max_per_task.empty();
   const std::string method =
       options.exact_leakage ? "numeric-exact-leaky" : "numeric-barrier";
 
-  util::require(s_min >= 0.0 && s_min <= model.s_max, "invalid speed range");
-  if (heterogeneous) {
-    util::require(options.s_max_per_task.size() == n,
-                  "one per-task cap per task required");
-    util::require(s_min == 0.0,
-                  "per-task caps cannot be combined with a speed floor");
-    for (double c : options.s_max_per_task)
-      util::require(c > 0.0, "per-task caps must be positive");
+  util::require(options.s_min >= 0.0 && options.s_min <= model.s_max,
+                "invalid speed range");
+  std::vector<double> caps;
+  std::vector<double> floors;
+  if (!effective_bounds(instance, model, options.s_min, caps, floors)) {
+    return infeasible_solution(method);
   }
-  const auto cap = [&](graph::NodeId v) {
-    return heterogeneous ? std::min(model.s_max, options.s_max_per_task[v])
-                         : model.s_max;
+  // A floor within tolerance of its cap pins the task: no barrier
+  // constraint is added for it and the extracted speed is clamped instead.
+  const auto pinned = [&](graph::NodeId v) {
+    return floors[v] >= caps[v] * (1.0 - 1e-9);
   };
-
-  // Per-task floors (the heterogeneous route's s_crit reduction). A floor
-  // within tolerance of its cap pins the task; no barrier constraint is
-  // added for it and the extracted speed is clamped up instead.
-  const bool per_task_floors = !options.s_min_per_task.empty();
-  if (per_task_floors) {
-    util::require(heterogeneous,
-                  "per-task floors require per-task caps alongside");
-    util::require(options.s_min_per_task.size() == n,
-                  "one per-task floor per task required");
-    for (graph::NodeId v = 0; v < n; ++v) {
-      const double f = options.s_min_per_task[v];
-      util::require(f >= 0.0, "per-task floors must be non-negative");
-      util::require(f <= cap(v) * (1.0 + kFeasibilityRelTol),
-                    "per-task floor exceeds the task's speed cap");
-    }
-  }
-  const auto floor_of = [&](graph::NodeId v) {
-    return per_task_floors ? options.s_min_per_task[v] : 0.0;
-  };
-  // True when task v's floor is strictly below its cap and therefore
-  // enters the barrier as a d_v <= w_v / floor constraint.
-  const auto floor_active = [&](graph::NodeId v) {
-    const double f = floor_of(v);
-    return f > 0.0 && f < cap(v) * (1.0 - 1e-9);
-  };
-
-  if (n == 0) {
-    Solution s;
-    s.method = method;
-    s.feasible = true;
-    s.energy = 0.0;
-    return s;
-  }
 
   const double critical = critical_weight(g);
   if (critical == 0.0) {
-    // All-zero weights: nothing to run.
+    // No tasks, or all-zero weights: nothing to run.
     return speeds_solution(instance, std::vector<double>(n, 0.0), method);
   }
 
   // Feasibility: the fastest schedule runs every task at its cap.
   std::vector<double> min_durations(n, 0.0);
   bool any_uncapped_weighted = false;
+  bool all_pinned = true;
   for (graph::NodeId v = 0; v < n; ++v) {
     const double w = g.weight(v);
     if (w == 0.0) continue;
-    if (cap(v) == kInf) {
+    all_pinned = all_pinned && pinned(v);
+    if (caps[v] == kInf) {
       any_uncapped_weighted = true;
     } else {
-      min_durations[v] = w / cap(v);
+      min_durations[v] = w / caps[v];
     }
   }
   // One shared tolerance on both sides of the boundary: an exactly-tight
@@ -173,38 +155,46 @@ Solution solve_numeric(const Instance& instance,
   // is still feasible, pinned at the caps below.
   const double min_makespan =
       sched::compute_timing(g, min_durations).makespan;
-  if (!within_deadline(min_makespan, deadline)) return infeasible_solution(method);
-  if (min_makespan >= deadline * (1.0 - kFeasibilityRelTol)) {
-    // Boundary: the only candidate pins every task at its cap. With an
-    // uncapped weighted task the optimum does not exist (speeds diverge).
+  if (!within_deadline(min_makespan, deadline)) {
+    return infeasible_solution(method);
+  }
+  // Boundary: the only candidate pins every task at its cap. With an
+  // uncapped weighted task the optimum does not exist (speeds diverge).
+  // When every weighted task's floor pins it, the speed range collapses
+  // to (almost) a single point: the caps again.
+  if (min_makespan >= deadline * (1.0 - kFeasibilityRelTol) || all_pinned) {
     if (any_uncapped_weighted) return infeasible_solution(method);
-    std::vector<double> speeds(n, 0.0);
-    for (graph::NodeId v = 0; v < n; ++v) speeds[v] = cap(v);
-    return speeds_solution(instance, speeds, method);
+    return speeds_solution(instance, caps, method);
   }
 
-  // Strictly feasible start point.
+  // Strictly feasible start point. The uniform-speed start gives each
+  // weighted task a speed strictly inside (lower_v, cap_v), where lower_v
+  // is the minimal feasible uniform speed critical/D raised to the task's
+  // floor: every duration is below w_v D / critical, so the makespan
+  // stays below critical / slowest < D. On shared bounds this is the one
+  // uniform speed sqrt(lower * cap).
   la::Vector x0(2 * n, 0.0);
   std::vector<double> durations(n, 0.0);
+  const double uniform = critical / deadline;
+  double slowest = kInf;
+  for (graph::NodeId v = 0; v < n; ++v) {
+    const double w = g.weight(v);
+    if (w == 0.0) continue;
+    const double lower = pinned(v) ? uniform : std::max(uniform, floors[v]);
+    if (lower >= caps[v] * (1.0 - 1e-12)) {
+      slowest = 0.0;  // a cap below the uniform speed: no uniform start
+      break;
+    }
+    const double speed =
+        caps[v] == kInf ? 1.4 * lower : std::sqrt(lower * caps[v]);
+    durations[v] = w / speed;
+    slowest = std::min(slowest, speed);
+  }
   double pad = 0.0;
-  if (!heterogeneous) {
-    // Uniform speed strictly between the minimal feasible uniform speed
-    // and the cap.
-    const double lower = std::max(critical / deadline, s_min);
-    const double upper = model.s_max;
-    if (lower >= upper * (1.0 - 1e-12)) {
-      // The speed range collapses to (almost) a single point.
-      return speeds_solution(instance, std::vector<double>(n, upper), method);
-    }
-    const double s_start = upper == kInf ? 1.4 * lower : std::sqrt(lower * upper);
-    const double target_makespan = critical / s_start;
-    pad = (deadline - target_makespan) / (8.0 * static_cast<double>(n + 1));
-    for (graph::NodeId v = 0; v < n; ++v) {
-      const double w = g.weight(v);
-      durations[v] = w > 0.0 ? w / s_start : pad * 0.5;
-    }
+  if (slowest > 0.0) {
+    pad = (deadline - critical / slowest) / (8.0 * static_cast<double>(n + 1));
   } else {
-    // Per-task caps: stretch the all-at-cap durations a little and slow
+    // Fallback: stretch the all-at-cap durations a little and slow
     // everything to a uniform speed chosen so the makespan keeps a margin:
     //   d_v = max(w_v/s_start, (1+theta) w_v/cap_v)
     // has makespan <= critical/s_start + (1+theta) min_makespan < D.
@@ -217,21 +207,24 @@ Solution solve_numeric(const Instance& instance,
     pad = margin / (16.0 * static_cast<double>(n + 1));
     for (graph::NodeId v = 0; v < n; ++v) {
       const double w = g.weight(v);
-      durations[v] = w > 0.0
-                         ? std::max(w / s_start, (1.0 + theta) * min_durations[v])
-                         : pad * 0.5;
-      // An active floor upper-bounds the duration (d_v <= w_v / floor);
-      // pull a too-slow start strictly inside the band. The midpoint of
-      // [w/cap, w/floor] is strictly feasible for both sides (floor_active
-      // guarantees floor < cap), and shrinking a duration only shortens
+      if (w == 0.0) continue;
+      durations[v] =
+          std::max(w / s_start, (1.0 + theta) * min_durations[v]);
+      // A floor row upper-bounds the duration (d_v <= w_v / floor); pull
+      // a too-slow start strictly inside the band. The midpoint of
+      // [w/cap, w/floor] is strictly feasible for both sides (an unpinned
+      // floor sits below its cap), and shrinking a duration only shortens
       // the makespan, preserving the deadline margin.
-      if (w > 0.0 && floor_active(v)) {
-        const double d_max = w / floor_of(v);
+      if (floors[v] > 0.0 && !pinned(v)) {
+        const double d_max = w / floors[v];
         if (durations[v] >= d_max) {
           durations[v] = 0.5 * (min_durations[v] + d_max);
         }
       }
     }
+  }
+  for (graph::NodeId v = 0; v < n; ++v) {
+    if (g.weight(v) == 0.0) durations[v] = pad * 0.5;
   }
 
   // Variables: x[0..n) completion times, x[n..2n) durations.
@@ -244,7 +237,9 @@ Solution solve_numeric(const Instance& instance,
     std::size_t position = 0;
     for (graph::NodeId v : *order) {
       double start = 0.0;
-      for (graph::NodeId p : g.predecessors(v)) start = std::max(start, earliest[p]);
+      for (graph::NodeId p : g.predecessors(v)) {
+        start = std::max(start, earliest[p]);
+      }
       earliest[v] = start + durations[v];
       x0[v] = earliest[v] + pad * static_cast<double>(position + 1);
       x0[n + v] = durations[v];
@@ -268,14 +263,11 @@ Solution solve_numeric(const Instance& instance,
     add_ineq({{v, 1.0}}, deadline);
     // -d_v <= -w_v / cap_v  (speed cap; reduces to d_v >= 0 when uncapped).
     add_ineq({{n + v, -1.0}}, -min_durations[v]);
-    // d_v <= w_v / s_min (speed floor: Theorem 5's restricted relaxation,
-    // or a heterogeneous platform's per-task s_crit floor).
+    // d_v <= w_v / floor_v (speed floor: Theorem 5's restricted
+    // relaxation raised to the task's s_crit; none for a pinned task).
     const double w = g.weight(v);
-    if (w > 0.0 && s_min > 0.0) {
-      add_ineq({{n + v, 1.0}}, w / s_min);
-    }
-    if (w > 0.0 && floor_active(v)) {
-      add_ineq({{n + v, 1.0}}, w / floor_of(v));
+    if (w > 0.0 && floors[v] > 0.0 && !pinned(v)) {
+      add_ineq({{n + v, 1.0}}, w / floors[v]);
     }
   }
 
@@ -292,14 +284,11 @@ Solution solve_numeric(const Instance& instance,
   for (graph::NodeId v = 0; v < n; ++v) {
     const double w = g.weight(v);
     if (w == 0.0) continue;
-    double speed = w / result.x[n + v];
-    speed = std::min(speed, cap(v));  // shave barrier slack off the cap
-    if (s_min > 0.0) speed = std::max(speed, s_min);  // ...and off the floor
-    if (per_task_floors) {
-      // Pinned tasks (floor ~ cap) have no barrier constraint; this clamp
-      // realizes their floor. It can only shorten the schedule.
-      speed = std::max(speed, std::min(floor_of(v), cap(v)));
-    }
+    // Shave barrier slack off the cap and the floor; for a pinned task,
+    // which has no floor row, the floor clamp realizes its floor. It can
+    // only shorten the schedule.
+    const double speed =
+        std::max(std::min(w / result.x[n + v], caps[v]), floors[v]);
     s.speeds[v] = speed;
     s.energy += instance.power_of(v).task_energy(w, speed);
   }

@@ -3,17 +3,23 @@
 //
 // In the variables (t_i, d_i) — completion time and duration — MinEnergy is
 //
-//   minimize  sum_{w_i > 0} w_i^alpha / d_i^(alpha-1)
+//   minimize  sum_{w_i > 0} w_i^alpha_i / d_i^(alpha_i-1)
 //   s.t.      t_i + d_j <= t_j            for each execution edge (i, j)
 //             d_i <= t_i,  t_i <= D       for each task
-//             w_i/s_max <= d_i (<= w_i/s_min when a floor is requested)
+//             w_i/cap_i <= d_i <= w_i/floor_i
 //
 // which is smooth convex over a polyhedron; opt::minimize_with_barrier
-// solves it to a prescribed duality gap. The optional speed floor s_min is
-// not part of the paper's Continuous model ([0, s_max]); it exists for the
-// Theorem 5 rounding algorithm, whose analysis needs the continuous
-// relaxation restricted to the mode range [s_1, s_m].
+// solves it to a prescribed duality gap. Every task's bounds come from the
+// instance (effective_bounds): its cap folds the model's s_max with its
+// processor's cap, and its floor is the s_crit reduction's (DESIGN.md,
+// "Per-task s_crit floors and caps"), raised to the optional speed floor
+// s_min. That floor is not part of the paper's Continuous model
+// ([0, s_max]); it exists for the Theorem 5 rounding algorithm, whose
+// analysis needs the continuous relaxation restricted to the mode range
+// [s_1, s_m].
 #pragma once
+
+#include <vector>
 
 #include "core/problem.hpp"
 #include "model/energy_model.hpp"
@@ -24,21 +30,6 @@ struct NumericOptions {
   double rel_gap = 1e-9;   ///< duality-gap target relative to |objective|
   double s_min = 0.0;      ///< optional speed floor (0 = the paper's model)
 
-  /// Optional per-task speed caps (empty = none). Extension beyond the
-  /// paper's identical-processor platform: when the frozen mapping places
-  /// tasks on heterogeneous processors, task i may not exceed
-  /// min(s_max, s_max_per_task[i]). Mutually exclusive with s_min > 0
-  /// (Theorem 5's restricted relaxation never needs both).
-  std::vector<double> s_max_per_task;
-
-  /// Optional per-task speed floors (empty = none): the s_crit floors of a
-  /// heterogeneous platform, one per task, each in [0, cap]. Only valid
-  /// together with s_max_per_task (the heterogeneous route always supplies
-  /// both) and still mutually exclusive with the scalar s_min. A floor
-  /// within tolerance of its cap pins the task: the constraint is dropped
-  /// and the extracted speed clamped instead.
-  std::vector<double> s_min_per_task;
-
   /// Charge static power on task durations inside the objective, turning
   /// it into the true platform busy energy
   ///
@@ -46,7 +37,7 @@ struct NumericOptions {
   ///
   /// (LeakageMode::kExact; DESIGN.md, "Exact leaky solver"). Each linear
   /// term keeps the objective smooth convex, so the barrier machinery is
-  /// unchanged. Any s_crit floors remain valid cuts: the per-task busy
+  /// unchanged. The s_crit floors remain valid cuts: the per-task busy
   /// cost increases below s_crit while slowing down only tightens the
   /// scheduling constraints, so no optimum runs under the floor. With
   /// every P_stat zero the added terms are exactly 0.0 — the pure-dynamic
@@ -54,9 +45,25 @@ struct NumericOptions {
   bool exact_leakage = false;
 };
 
-/// Solves any acyclic instance; detects infeasibility exactly (deadline
-/// below the critical path at s_max). The boundary case D == D_min returns
-/// the all-s_max schedule.
+/// Per-task effective bounds of the s_crit reduction: cap_v folds the
+/// model's s_max with the processor cap, and weighted tasks get the floor
+/// max(s_min, min(s_crit_v, cap_v)). Zero-weight tasks stay floorless —
+/// they run in zero time at no speed. Returns false when s_min exceeds a
+/// weighted task's cap (Theorem 5's rounding floor vs a slower
+/// processor): the restricted relaxation has no admissible speed there,
+/// and solvers report infeasible rather than throwing, so CONT-ROUND
+/// degrades gracefully and an engine batch is never aborted by one capped
+/// instance.
+[[nodiscard]] bool effective_bounds(const Instance& instance,
+                                    const model::ContinuousModel& model,
+                                    double s_min, std::vector<double>& caps,
+                                    std::vector<double>& floors);
+
+/// Solves any acyclic instance under its effective bounds; detects
+/// infeasibility exactly (deadline below the critical path at the caps,
+/// or s_min above a weighted task's processor cap). The boundary case
+/// D == D_min returns the all-at-cap schedule. Throws InvalidArgument
+/// when s_min lies outside [0, model.s_max].
 [[nodiscard]] Solution solve_numeric(const Instance& instance,
                                      const model::ContinuousModel& model,
                                      const NumericOptions& options = {});

@@ -57,7 +57,9 @@ Solution solve_chain_waterfill(const Instance& instance,
         speeds[v] = caps[v];
         at_cap += w / caps[v];
       }
-      if (!within_deadline(at_cap, deadline)) return infeasible_solution(kMethod);
+      if (!within_deadline(at_cap, deadline)) {
+        return infeasible_solution(kMethod);
+      }
       return speeds_solution(instance, speeds, kMethod);
     }
     while (hi - lo > 1e-15 * std::max(1.0, hi) && iterations < 500) {

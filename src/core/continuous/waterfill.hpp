@@ -34,7 +34,7 @@ namespace reclaim::core {
 
 /// Exact leaky optimum of a chain instance under per-task effective
 /// bounds (caps_v = min(model cap, processor cap), floors_v = the s_crit
-/// reduction floors; both from dispatch's effective_bounds). Requires the
+/// reduction floors; both from effective_bounds). Requires the
 /// execution graph to be a chain; the caller has already established
 /// feasibility via the reduction solve, but an over-capacity instance
 /// still returns an infeasible solution rather than throwing. Method

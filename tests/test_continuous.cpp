@@ -136,7 +136,8 @@ TEST(ClosedForm, ForkMatchesTheorem1) {
     EXPECT_NEAR(s.speeds[i], s0 * w[i] / l, 1e-12);
   expect_feasible_under(instance, s, kInf);
   // The deadline is exactly saturated at the optimum.
-  const auto durations = rs::durations_from_speeds(instance.exec_graph, s.speeds);
+  const auto durations =
+      rs::durations_from_speeds(instance.exec_graph, s.speeds);
   EXPECT_NEAR(rs::compute_timing(instance.exec_graph, durations).makespan, 5.0,
               1e-9);
 }
@@ -352,7 +353,8 @@ TEST(NumericSolver, SpAgreement) {
     const auto sp = solve_as(instance, kInf, rg::GraphShape::kSeriesParallel);
     const auto numeric = rc::solve_numeric(instance, rm::ContinuousModel{kInf});
     ASSERT_TRUE(sp.feasible && numeric.feasible);
-    EXPECT_NEAR(numeric.energy, sp.energy, 2e-5 * sp.energy) << "trial " << trial;
+    EXPECT_NEAR(numeric.energy, sp.energy, 2e-5 * sp.energy)
+        << "trial " << trial;
   }
 }
 
@@ -405,6 +407,37 @@ TEST(NumericSolver, SpeedFloorIsHonoured) {
       EXPECT_GE(s.speeds[v], 1.0 - 1e-6);
     }
   }
+}
+
+TEST(NumericSolver, DerivesSCritFloorsFromTheInstance) {
+  // solve_numeric reads every task's cap and s_crit floor off the
+  // instance, so the plain call is the forced dispatch route bit for bit.
+  // With four times the minimal deadline the dynamic optimum would crawl
+  // near 0.5; the s_crit floor (1 for P = 2 + s^3) holds the tasks there.
+  Rng rng(22);
+  const auto g = rg::make_stencil(3, 3, rng);
+  const double d = rc::min_deadline(g, 2.0) * 4.0;
+  const rm::StaticPowerLaw leaky(3.0, 2.0);
+  auto instance = rc::make_instance(g, d, leaky);
+  const rm::ContinuousModel model{2.0};
+  const auto plain = rc::solve_numeric(instance, model);
+  rc::ContinuousOptions force;
+  force.force_numeric = true;
+  const auto forced = rc::solve_continuous(instance, model, force);
+  ASSERT_TRUE(plain.feasible && forced.feasible);
+  EXPECT_EQ(plain.method, forced.method);
+  EXPECT_EQ(plain.energy, forced.energy);
+  EXPECT_EQ(plain.speeds, forced.speeds);
+  EXPECT_EQ(plain.iterations, forced.iterations);
+
+  const double s_crit = leaky.critical_speed();
+  std::size_t at_floor = 0;
+  for (rg::NodeId v = 0; v < g.num_nodes(); ++v) {
+    if (g.weight(v) == 0.0) continue;
+    EXPECT_GE(plain.speeds[v], s_crit * (1.0 - 1e-12));
+    if (plain.speeds[v] <= s_crit * (1.0 + 1e-6)) ++at_floor;
+  }
+  EXPECT_GE(at_floor, 1u);
 }
 
 TEST(NumericSolver, ZeroWeightTasksSupported) {
@@ -582,8 +615,10 @@ TEST(DeadlineTight, WithinDeadlineHelperIsSymmetricallyTolerant) {
   EXPECT_TRUE(rc::within_deadline(1.0 + 0.5 * rc::kFeasibilityRelTol, 1.0));
   EXPECT_FALSE(rc::within_deadline(1.0 + 2.0 * rc::kFeasibilityRelTol, 1.0));
   EXPECT_TRUE(rc::within_speed_cap(2.0, 2.0));
-  EXPECT_TRUE(rc::within_speed_cap(2.0 * (1.0 + 0.5 * rc::kFeasibilityRelTol), 2.0));
-  EXPECT_FALSE(rc::within_speed_cap(2.0 * (1.0 + 2.0 * rc::kFeasibilityRelTol), 2.0));
+  EXPECT_TRUE(
+      rc::within_speed_cap(2.0 * (1.0 + 0.5 * rc::kFeasibilityRelTol), 2.0));
+  EXPECT_FALSE(
+      rc::within_speed_cap(2.0 * (1.0 + 2.0 * rc::kFeasibilityRelTol), 2.0));
 }
 
 TEST(NumericSolver, ThousandTaskOutTreesMatchTreeSolver) {
@@ -712,9 +747,8 @@ void check_barrier_routes(RouteSetting setting, std::uint64_t seed) {
     rc::Solution numeric;
     if (setting == RouteSetting::kExactLeakFree) {
       dispatched.leakage = rc::LeakageMode::kExact;
-      rc::NumericOptions exact;
-      exact.exact_leakage = true;
-      numeric = rc::solve_numeric(t.instance, model, exact);
+      numeric =
+          rc::solve_numeric(t.instance, model, {.exact_leakage = true});
     } else {
       rc::ContinuousOptions force;
       force.force_numeric = true;

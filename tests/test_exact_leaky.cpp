@@ -125,7 +125,8 @@ TEST(ExactLeaky, MixedPstatChainBeatsReductionByOverOnePercent) {
       1.0, 1.0, 1.0, {rm::make_power_model(3.0, 0.0), kInf},
       {rm::make_power_model(3.0, 12.0), kInf});
 
-  const auto reduction = solve_mode(instance, kInf, rc::LeakageMode::kReduction);
+  const auto reduction =
+      solve_mode(instance, kInf, rc::LeakageMode::kReduction);
   ASSERT_TRUE(reduction.feasible);
   EXPECT_EQ(reduction.method, "closed-form-chain");
   EXPECT_DOUBLE_EQ(reduction.energy, 14.0);
@@ -161,7 +162,8 @@ TEST(ExactLeaky, SlackForkBeatsReduction) {
   const auto instance =
       rc::make_instance(app, 1.5, rm::make_power_model(3.0, 3.0));
 
-  const auto reduction = solve_mode(instance, kInf, rc::LeakageMode::kReduction);
+  const auto reduction =
+      solve_mode(instance, kInf, rc::LeakageMode::kReduction);
   ASSERT_TRUE(reduction.feasible);
   EXPECT_EQ(reduction.method, "closed-form-fork");
 
@@ -204,7 +206,8 @@ TEST(ExactLeaky, MixedPstatForkWaterfillMatchesGolden) {
                     {rm::make_power_model(3.0, 0.0), kInf}}),
       mapping);
 
-  const auto reduction = solve_mode(instance, kInf, rc::LeakageMode::kReduction);
+  const auto reduction =
+      solve_mode(instance, kInf, rc::LeakageMode::kReduction);
   const auto exact = solve_mode(instance, kInf, rc::LeakageMode::kExact);
   ASSERT_TRUE(reduction.feasible);
   ASSERT_TRUE(exact.feasible);
@@ -286,7 +289,8 @@ TEST(ExactLeaky, FlooredMixedPstatChainStillImproves) {
   const auto instance = two_proc_chain(
       1.0, 1.0, 4.0, {rm::make_power_model(3.0, 0.0), kInf},
       {rm::make_power_model(3.0, 2.0), kInf});
-  const auto reduction = solve_mode(instance, kInf, rc::LeakageMode::kReduction);
+  const auto reduction =
+      solve_mode(instance, kInf, rc::LeakageMode::kReduction);
   const auto exact = solve_mode(instance, kInf, rc::LeakageMode::kExact);
   ASSERT_TRUE(reduction.feasible);
   ASSERT_TRUE(exact.feasible);

@@ -53,7 +53,8 @@ TEST(Failure, SingleNodeEveryModel) {
   EXPECT_TRUE(rc::solve(instance, rm::ContinuousModel{2.0}).feasible);
   EXPECT_TRUE(rc::solve(instance, rm::VddHoppingModel{modes}).feasible);
   EXPECT_TRUE(rc::solve(instance, rm::DiscreteModel{modes}).feasible);
-  EXPECT_TRUE(rc::solve(instance, rm::IncrementalModel(1.0, 2.0, 0.5)).feasible);
+  EXPECT_TRUE(
+      rc::solve(instance, rm::IncrementalModel(1.0, 2.0, 0.5)).feasible);
 }
 
 TEST(Failure, AllZeroWeightGraphEveryModel) {
@@ -84,13 +85,15 @@ TEST(Failure, ExtremeDeadlines) {
   // Absurdly tight: everything infeasible, nothing crashes.
   auto tight = rc::make_instance(g, 1e-9);
   EXPECT_FALSE(rc::solve(tight, rm::ContinuousModel{2.0}).feasible);
-  EXPECT_FALSE(rc::solve(tight, rm::DiscreteModel{rm::ModeSet({1.0})}).feasible);
+  EXPECT_FALSE(
+      rc::solve(tight, rm::DiscreteModel{rm::ModeSet({1.0})}).feasible);
   // Absurdly loose: feasible, energy at the model floor.
   auto loose = rc::make_instance(g, 1e9);
   const auto cont = rc::solve(loose, rm::ContinuousModel{2.0});
   ASSERT_TRUE(cont.feasible);
   EXPECT_LT(cont.energy, 1e-9);
-  const auto disc = rc::solve(loose, rm::DiscreteModel{rm::ModeSet({0.5, 2.0})});
+  const auto disc =
+      rc::solve(loose, rm::DiscreteModel{rm::ModeSet({0.5, 2.0})});
   ASSERT_TRUE(disc.feasible);
   EXPECT_NEAR(disc.energy, 2.0 * 0.25, 1e-9);  // both at the slowest mode
 }
@@ -101,7 +104,8 @@ TEST(Failure, ExtremeWeightScales) {
   auto instance = rc::make_instance(g, 4e6);
   rc::ContinuousOptions force;
   force.force_numeric = true;
-  const auto numeric = rc::solve_continuous(instance, rm::ContinuousModel{2.0}, force);
+  const auto numeric =
+      rc::solve_continuous(instance, rm::ContinuousModel{2.0}, force);
   const auto closed = rc::solve_continuous(instance, rm::ContinuousModel{2.0});
   ASSERT_EQ(numeric.feasible, closed.feasible);
   if (closed.feasible) {
@@ -199,7 +203,8 @@ TEST(Failure, ChainDpResolutionOne) {
   auto instance = rc::make_instance(rg::make_chain({2.0, 2.0}), 4.0);
   rc::ChainDpOptions options;
   options.resolution = 1;  // 2 grid cells total
-  const auto dp = rc::solve_chain_dp(instance, rm::ModeSet({1.0, 2.0}), options);
+  const auto dp =
+      rc::solve_chain_dp(instance, rm::ModeSet({1.0, 2.0}), options);
   // Coarse but well-defined; if feasible it must validate.
   if (dp.solution.feasible) {
     rs::validate_constant_speeds(instance.exec_graph, dp.solution.speeds,
@@ -215,7 +220,8 @@ TEST(Failure, EmptyGraphAcrossTheBoard) {
   EXPECT_TRUE(rc::solve(instance, rm::VddHoppingModel{modes}).feasible);
   EXPECT_TRUE(rc::solve(instance, rm::DiscreteModel{modes}).feasible);
   EXPECT_TRUE(rc::solve_no_dvfs(instance, rm::DiscreteModel{modes}).feasible);
-  EXPECT_TRUE(rc::solve_path_stretch(instance, rm::DiscreteModel{modes}).feasible);
+  EXPECT_TRUE(
+      rc::solve_path_stretch(instance, rm::DiscreteModel{modes}).feasible);
 }
 
 TEST(Failure, DeadlineExactlyAtCriticalPath) {

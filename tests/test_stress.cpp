@@ -10,6 +10,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "core/continuous/dispatch.hpp"
 #include "core/continuous/numeric_solver.hpp"
@@ -61,7 +64,7 @@ void expect_perturbation_optimal(const rc::Instance& instance,
     for (rg::NodeId v = 0; v < g.num_nodes(); ++v) {
       const double w = g.weight(v);
       if (w == 0.0) continue;
-      energy += instance.power().task_energy(w, w / durations[v]);
+      energy += instance.power_of(v).task_energy(w, w / durations[v]);
     }
     EXPECT_GE(energy, solution.energy - slack_tolerance)
         << "perturbation " << trial << " improved the 'optimal' energy";
@@ -69,6 +72,22 @@ void expect_perturbation_optimal(const rc::Instance& instance,
   // The optimum saturates the deadline, so most perturbations are
   // rejected; a few survive by shrinking durations. Require at least one.
   EXPECT_GT(accepted, 0u);
+}
+
+/// `g` with task v alone on processor v, capped at caps[v], every
+/// processor running the pure power law s^3: per-task caps expressed as a
+/// heterogeneous platform.
+rc::Instance capped_instance(rg::Digraph g, double deadline,
+                             const std::vector<double>& caps) {
+  std::vector<rm::ProcessorSpec> specs;
+  std::vector<std::size_t> assignment;
+  for (std::size_t v = 0; v < caps.size(); ++v) {
+    specs.push_back({rm::make_power_model(3.0, 0.0), caps[v]});
+    assignment.push_back(v);
+  }
+  return rc::make_instance(std::move(g), deadline,
+                           rm::Platform(std::move(specs)),
+                           std::move(assignment));
 }
 
 struct StressParam {
@@ -91,9 +110,11 @@ TEST_P(NumericOptimality, GeneralDagFirstOrderCertificate) {
 
   rc::ContinuousOptions force;
   force.force_numeric = true;
-  const auto s = rc::solve_continuous(instance, rm::ContinuousModel{s_max}, force);
+  const auto s =
+      rc::solve_continuous(instance, rm::ContinuousModel{s_max}, force);
   ASSERT_TRUE(s.feasible);
-  rs::validate_constant_speeds(g, s.speeds, rm::ContinuousModel{s_max}, d, 1e-6);
+  rs::validate_constant_speeds(g, s.speeds, rm::ContinuousModel{s_max}, d,
+                               1e-6);
   expect_perturbation_optimal(instance, s, 0.0,
                               std::vector<double>(s.speeds.size(), s_max),
                               p.seed * 7 + 1);
@@ -124,7 +145,8 @@ TEST(NumericStress, WideRandomAgreementWithDispatch) {
     const double s_max = 2.0;
     const double d = rc::min_deadline(g, s_max) * sub.uniform(1.1, 2.5);
     auto instance = rc::make_instance(g, d);
-    const auto fancy = rc::solve_continuous(instance, rm::ContinuousModel{s_max});
+    const auto fancy =
+        rc::solve_continuous(instance, rm::ContinuousModel{s_max});
     rc::ContinuousOptions force;
     force.force_numeric = true;
     const auto numeric =
@@ -142,10 +164,9 @@ TEST(PerTaskCaps, UniformCapsMatchGlobalCap) {
   const double d = rc::min_deadline(g, 2.0) * 1.4;
   auto instance = rc::make_instance(g, d);
   const auto global = rc::solve_numeric(instance, rm::ContinuousModel{2.0});
-  rc::NumericOptions options;
-  options.s_max_per_task.assign(g.num_nodes(), 2.0);
-  const auto per_task =
-      rc::solve_numeric(instance, rm::ContinuousModel{kInf}, options);
+  const auto per_task = rc::solve_numeric(
+      capped_instance(g, d, std::vector<double>(g.num_nodes(), 2.0)),
+      rm::ContinuousModel{kInf});
   ASSERT_TRUE(global.feasible && per_task.feasible);
   EXPECT_NEAR(per_task.energy, global.energy, 1e-5 * global.energy);
 }
@@ -155,33 +176,32 @@ TEST(PerTaskCaps, BindingCapClampsAndCostsEnergy) {
   const auto g = rg::make_stencil(3, 3, rng);
   const double d = rc::min_deadline(g, 2.0) * 1.3;
   auto instance = rc::make_instance(g, d);
-  const auto unconstrained = rc::solve_numeric(instance, rm::ContinuousModel{2.0});
+  const auto unconstrained =
+      rc::solve_numeric(instance, rm::ContinuousModel{2.0});
   ASSERT_TRUE(unconstrained.feasible);
 
   // Cap the fastest task well below its unconstrained speed.
+  const auto& speeds = unconstrained.speeds;
   const auto hottest = static_cast<rg::NodeId>(
-      std::max_element(unconstrained.speeds.begin(), unconstrained.speeds.end()) -
-      unconstrained.speeds.begin());
-  rc::NumericOptions options;
-  options.s_max_per_task.assign(g.num_nodes(), 2.0);
-  options.s_max_per_task[hottest] = 0.8 * unconstrained.speeds[hottest];
+      std::max_element(speeds.begin(), speeds.end()) - speeds.begin());
+  std::vector<double> caps(g.num_nodes(), 2.0);
+  caps[hottest] = 0.8 * speeds[hottest];
 
-  const auto capped = rc::solve_numeric(instance, rm::ContinuousModel{2.0}, options);
+  const auto capped_in = capped_instance(g, d, caps);
+  const auto capped = rc::solve_numeric(capped_in, rm::ContinuousModel{2.0});
   if (!capped.feasible) return;  // the cap may make the deadline unreachable
-  EXPECT_LE(capped.speeds[hottest],
-            options.s_max_per_task[hottest] * (1.0 + 1e-9));
+  EXPECT_LE(capped.speeds[hottest], caps[hottest] * (1.0 + 1e-9));
   EXPECT_GE(capped.energy, unconstrained.energy * (1.0 - 1e-9));
-  rs::validate_constant_speeds(g, capped.speeds, rm::ContinuousModel{2.0}, d, 1e-6);
-  expect_perturbation_optimal(instance, capped, 0.0, options.s_max_per_task, 99);
+  rs::validate_constant_speeds(g, capped.speeds, rm::ContinuousModel{2.0}, d,
+                               1e-6);
+  expect_perturbation_optimal(capped_in, capped, 0.0, caps, 99);
 }
 
 TEST(PerTaskCaps, TwoTaskChainMatchesGridOracle) {
   // Chain {2, 3}, D = 4, caps {1.2, 4}: exhaustive grid over s1.
-  const auto g = rg::make_chain({2.0, 3.0});
-  auto instance = rc::make_instance(g, 4.0);
-  rc::NumericOptions options;
-  options.s_max_per_task = {1.2, 4.0};
-  const auto s = rc::solve_numeric(instance, rm::ContinuousModel{kInf}, options);
+  const auto s = rc::solve_numeric(
+      capped_instance(rg::make_chain({2.0, 3.0}), 4.0, {1.2, 4.0}),
+      rm::ContinuousModel{kInf});
   ASSERT_TRUE(s.feasible);
 
   double best = kInf;
@@ -196,51 +216,29 @@ TEST(PerTaskCaps, TwoTaskChainMatchesGridOracle) {
 }
 
 TEST(PerTaskCaps, InfeasibleWhenCapsTooLow) {
-  const auto g = rg::make_chain({2.0, 2.0});
-  auto instance = rc::make_instance(g, 3.0);
-  rc::NumericOptions options;
-  options.s_max_per_task = {1.0, 1.0};  // needs 4/3 average speed
+  // Caps {1, 1} against a chain that needs 4/3 average speed.
+  const auto instance =
+      capped_instance(rg::make_chain({2.0, 2.0}), 3.0, {1.0, 1.0});
   EXPECT_FALSE(
-      rc::solve_numeric(instance, rm::ContinuousModel{kInf}, options).feasible);
+      rc::solve_numeric(instance, rm::ContinuousModel{kInf}).feasible);
 }
 
 TEST(PerTaskCaps, BoundaryPinsEveryTaskAtItsCap) {
-  const auto g = rg::make_chain({2.0, 2.0});
-  auto instance = rc::make_instance(g, 3.0);
-  rc::NumericOptions options;
-  options.s_max_per_task = {2.0, 1.0};  // exactly 1 + 2 = 3 time units
-  const auto s = rc::solve_numeric(instance, rm::ContinuousModel{kInf}, options);
+  // Caps {2, 1}: exactly 1 + 2 = 3 time units.
+  const auto s = rc::solve_numeric(
+      capped_instance(rg::make_chain({2.0, 2.0}), 3.0, {2.0, 1.0}),
+      rm::ContinuousModel{kInf});
   ASSERT_TRUE(s.feasible);
   EXPECT_DOUBLE_EQ(s.speeds[0], 2.0);
   EXPECT_DOUBLE_EQ(s.speeds[1], 1.0);
 }
 
-TEST(PerTaskCaps, ValidationOfOptions) {
-  const auto g = rg::make_chain({1.0, 1.0});
-  auto instance = rc::make_instance(g, 4.0);
-  rc::NumericOptions wrong_size;
-  wrong_size.s_max_per_task = {1.0};
-  EXPECT_THROW((void)rc::solve_numeric(instance, rm::ContinuousModel{2.0}, wrong_size),
-               reclaim::InvalidArgument);
-  rc::NumericOptions with_floor;
-  with_floor.s_max_per_task = {1.0, 1.0};
-  with_floor.s_min = 0.5;
-  EXPECT_THROW((void)rc::solve_numeric(instance, rm::ContinuousModel{2.0}, with_floor),
-               reclaim::InvalidArgument);
-  rc::NumericOptions bad_cap;
-  bad_cap.s_max_per_task = {1.0, 0.0};
-  EXPECT_THROW((void)rc::solve_numeric(instance, rm::ContinuousModel{2.0}, bad_cap),
-               reclaim::InvalidArgument);
-}
-
 TEST(PerTaskCaps, MixedCappedAndUncappedTasks) {
   // One capped, one uncapped task in sequence: the uncapped one absorbs
   // whatever the capped one cannot.
-  const auto g = rg::make_chain({2.0, 2.0});
-  auto instance = rc::make_instance(g, 3.0);
-  rc::NumericOptions options;
-  options.s_max_per_task = {1.0, kInf};
-  const auto s = rc::solve_numeric(instance, rm::ContinuousModel{kInf}, options);
+  const auto s = rc::solve_numeric(
+      capped_instance(rg::make_chain({2.0, 2.0}), 3.0, {1.0, kInf}),
+      rm::ContinuousModel{kInf});
   ASSERT_TRUE(s.feasible);
   EXPECT_LE(s.speeds[0], 1.0 + 1e-9);
   // Oracle over s0 in (2/3 needed? task 0 at its cap is best: d0 = 2,
